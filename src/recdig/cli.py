@@ -3,8 +3,13 @@
 Every data cell is printed as a decimal string, CSV is header-first and
 newline-terminated, JSON output is one object per line; identical argv
 always produces byte-identical output.  Exit codes: 0 success, 1
-verification or identity mismatch, 2 usage error, 3 enumeration budget
-exceeded.
+verification or identity mismatch, 2 usage error (including a negative
+size), 3 enumeration budget exceeded.
+
+Routes: seq, the formula column of verify, and report asymptotics are
+served by the two-sort table recursion (digraphs.count_sequence); table
+sdiff and check identities use the closed form over Stirling differences;
+count and the oracle column of verify enumerate.
 """
 
 from __future__ import annotations
@@ -41,6 +46,14 @@ def _emit(headers: list[str], rows: list[list], fmt: str, out) -> None:
             out.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
+def nonnegative_int(text: str) -> int:
+    """argparse type for every size argument (--nmax, --n, --r)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="recdig",
@@ -51,12 +64,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_seq = sub.add_parser("seq", help="emit a counting sequence")
     p_seq.add_argument("family", choices=("cay", "end", "cayder"))
     p_seq.add_argument("--class", dest="klass", choices=SEQ_CLASSES, default="all")
-    p_seq.add_argument("--nmax", type=int, required=True)
+    p_seq.add_argument("--nmax", type=nonnegative_int, required=True)
     p_seq.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_table = sub.add_parser("table", help="emit a coefficient table")
     p_table.add_argument("kind", choices=("sdiff", "psi"))
-    p_table.add_argument("--r", type=int, default=1, help="prefix size (sdiff)")
+    p_table.add_argument(
+        "--r", type=nonnegative_int, default=1, help="prefix size (sdiff)"
+    )
     p_table.add_argument(
         "--R",
         dest="rec",
@@ -64,11 +79,11 @@ def _build_parser() -> argparse.ArgumentParser:
         default="S",
         help="recurrent structure (psi)",
     )
-    p_table.add_argument("--nmax", type=int, required=True)
+    p_table.add_argument("--nmax", type=nonnegative_int, required=True)
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_count = sub.add_parser("count", help="brute-force counts")
-    p_count.add_argument("--n", type=int, required=True)
+    p_count.add_argument("--n", type=nonnegative_int, required=True)
     p_count.add_argument(
         "--model", choices=oracle.MODELS, default="cayley"
     )
@@ -78,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_verify = sub.add_parser("verify", help="formulas against the oracle")
-    p_verify.add_argument("--nmax", type=int, required=True)
+    p_verify.add_argument("--nmax", type=nonnegative_int, required=True)
     p_verify.add_argument("--model", choices=oracle.MODELS, default="cayley")
     p_verify.add_argument("--class", dest="klass", choices=SEQ_CLASSES, default="all")
     p_verify.add_argument("--override-budget", action="store_true")
@@ -87,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_joyal = sub.add_parser(
         "joyal", help="spine bijection demo for one endofunction"
     )
-    p_joyal.add_argument("--n", type=int, required=True)
+    p_joyal.add_argument("--n", type=nonnegative_int, required=True)
     p_joyal.add_argument(
         "--input",
         required=True,
@@ -97,31 +112,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="exact identity suite")
     p_check.add_argument("what", choices=("identities",))
-    p_check.add_argument("--nmax", type=int, required=True)
+    p_check.add_argument("--nmax", type=nonnegative_int, required=True)
     p_check.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_report = sub.add_parser("report", help="descriptive ratio reports")
     p_report.add_argument("what", choices=("asymptotics",))
-    p_report.add_argument("--nmax", type=int, required=True)
+    p_report.add_argument("--nmax", type=nonnegative_int, required=True)
     p_report.add_argument("--format", choices=("csv", "json"), default="csv")
 
     return parser
 
 
 def _cmd_seq(args, out) -> int:
-    rows = []
-    if args.family == "cayder":
-        for n in range(args.nmax + 1):
-            rows.append([n, digraphs.cayley_derangement_count(n)])
-    else:
-        counter = (
-            digraphs.cayley_count if args.family == "cay"
-            else digraphs.endofunction_count
-        )
-        for n in range(args.nmax + 1):
-            rec = digraphs.recurrent_structure_for_class(args.klass, n)
-            rows.append([n, counter(n, rec)])
-    _emit(["n", "count"], rows, args.format, out)
+    klass = "derangement" if args.family == "cayder" else args.klass
+    model = "endofunctions" if args.family == "end" else "cayley"
+    rec = digraphs.recurrent_structure_for_class(klass, args.nmax)
+    counts = digraphs.count_sequence(rec, args.nmax, model)
+    _emit(["n", "count"], list(enumerate(counts)), args.format, out)
     return EXIT_OK
 
 
@@ -154,15 +161,12 @@ def _cmd_count(args, out) -> int:
 
 def _cmd_verify(args, out) -> int:
     pred = oracle.parse_class(args.klass)
-    counter = (
-        digraphs.cayley_count if args.model == "cayley"
-        else digraphs.endofunction_count
-    )
+    oracle.check_budget(args.nmax, args.model, args.override_budget)
+    rec = digraphs.recurrent_structure_for_class(args.klass, args.nmax)
+    formulas = digraphs.count_sequence(rec, args.nmax, args.model)
     rows = []
     failing = []
-    for n in range(args.nmax + 1):
-        rec = digraphs.recurrent_structure_for_class(args.klass, n)
-        formula = counter(n, rec)
+    for n, formula in enumerate(formulas):
         brute = oracle.count(
             n, args.model, pred, override_budget=args.override_budget
         )
@@ -249,6 +253,9 @@ def _cmd_report(args, out) -> int:
 
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out or sys.stdout
+    if hasattr(sys, "set_int_max_str_digits"):  # Python 3.11+
+        # Counts pass the default 4300-digit limit on int -> str near n = 1490.
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -9,9 +9,16 @@ fixed-point-free permutations, ...).
 
 Three independent routes to the same numbers live here:
 
-* a closed formula over Stirling difference numbers (digraph_count),
-* the two-sort coefficient recursion (digraph_table),
+* a closed formula over Stirling difference numbers (digraph_count,
+  cayley_count, endofunction_count),
+* the two-sort coefficient recursion (digraph_rows, digraph_table,
+  count_sequence),
 * composition of R with the rooted-tree table (via recdig.tables).
+
+The recursion serves: count_sequence streams the table through a sort
+merge in O(N^2) time and O(N) memory, and answers the CLI's seq, verify and
+report commands.  The closed form is the independent check on it (the
+table sdiff and check identities commands, and the tests).
 
 Every division in the closed formulas is exact; each one is asserted.
 """
@@ -19,10 +26,11 @@ Every division in the closed formulas is exact; each one is asserted.
 from __future__ import annotations
 
 from math import comb, factorial, perm
+from typing import Iterator
 
 from recdig.series import CoeffSeq, ShapeError, atom
 from recdig.stirling import sdiff
-from recdig.tables import CoeffTable, solve_tree_equation
+from recdig.tables import CoeffTable, merge_sorts, solve_tree_equation
 
 
 class InexactDivisionError(ArithmeticError):
@@ -63,24 +71,54 @@ def digraph_count(i: int, j: int, rec: CoeffSeq) -> int:
     return sum(digraph_count_by_recurrent(i, j, r, rec) for r in range(i + 1))
 
 
-def digraph_table(rec: CoeffSeq, nmax: int) -> CoeffTable:
-    """The full table on i + j <= nmax via the three-case recursion.
+def digraph_rows(rec: CoeffSeq, nmax: int) -> Iterator[list[int]]:
+    """Yield the rows c[i][0..nmax-i], i = 0..nmax, of the digraph table.
 
     Appending the branch that carries a new leaf gives
     c[i][j] = i * (c[i][j-1] + c[i-1][j]) for i, j >= 1, with the j = 0
-    column fixed by R and an empty i = 0 column.
+    column fixed by R and an empty i = 0 column.  Each row is built from
+    the previous one only, so a consumer that does not keep the rows holds
+    O(nmax) integers at a time.
     """
-    _need_truncation(rec, nmax, "digraph_table")
-    rows = [[0] * (nmax + 1 - i) for i in range(nmax + 1)]
-    for i in range(nmax + 1):
-        rows[i][0] = rec.counts[i]
+    if nmax < 0:
+        raise ShapeError("a table needs at least the (0, 0) cell")
+    _need_truncation(rec, nmax, "digraph_rows")
+    row = [rec.counts[0]] + [0] * nmax
+    yield row
     for i in range(1, nmax + 1):
-        for j in range(1, nmax + 1 - i):
-            rows[i][j] = i * (rows[i][j - 1] + rows[i - 1][j])
+        cell = rec.counts[i]
+        new = [cell]
+        # c[i-1][nmax-i+1], the last cell of the previous row, lies
+        # outside row i's triangle.
+        for up in row[1:-1]:
+            cell = i * (cell + up)
+            new.append(cell)
+        row = new
+        yield row
+
+
+def digraph_table(rec: CoeffSeq, nmax: int) -> CoeffTable:
+    """The full table on i + j <= nmax, stored row by row from digraph_rows."""
     return CoeffTable(
-        tuple(tuple(row) for row in rows),
+        tuple(tuple(row) for row in digraph_rows(rec, nmax)),
         label=f"recdig[{rec.label}]",
         virtual=rec.virtual,
+    )
+
+
+def count_sequence(rec: CoeffSeq, nmax: int, model: str) -> tuple[int, ...]:
+    """R-recurrent counts for n = 0..nmax: the serving kernel.
+
+    Streams digraph_rows into merge_sorts without storing the table:
+    model "cayley" merges the sorts by concatenation (Cayley
+    permutations), "endofunctions" by identification (endofunctions).
+    O(nmax^2) big-integer operations and O(nmax) integers of memory;
+    cayley_count and endofunction_count are the closed-form check on it.
+    """
+    if model not in ("cayley", "endofunctions"):
+        raise ValueError(f"unknown model {model!r}")
+    return merge_sorts(
+        digraph_rows(rec, nmax), nmax, identify=model == "endofunctions"
     )
 
 

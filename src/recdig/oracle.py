@@ -40,7 +40,8 @@ def check_endofunction(f: Iterable[int]) -> Endofunction:
     return t
 
 
-def _check_budget(n: int, model: str, override_budget: bool) -> None:
+def check_budget(n: int, model: str, override_budget: bool) -> None:
+    """Raise BudgetExceededError if enumerating size n would pass the budget."""
     limit = BUDGET_ENDOFUNCTIONS if model == "endofunctions" else BUDGET_CAYLEY
     if n > limit and not override_budget:
         raise BudgetExceededError(
@@ -53,7 +54,7 @@ def enumerate_endofunctions(
     n: int, override_budget: bool = False
 ) -> Iterator[Endofunction]:
     """All n^n maps of [n], lexicographically."""
-    _check_budget(n, "endofunctions", override_budget)
+    check_budget(n, "endofunctions", override_budget)
     return iter(product(range(1, n + 1), repeat=n))
 
 
@@ -99,7 +100,7 @@ def _surjections_lex(n: int, k: int) -> Iterator[Endofunction]:
 
 def enumerate_cayley(n: int, override_budget: bool = False) -> Iterator[Endofunction]:
     """All Cayley permutations of [n]: maps with image exactly [k], some k."""
-    _check_budget(n, "cayley", override_budget)
+    check_budget(n, "cayley", override_budget)
 
     def gen():
         if n == 0:

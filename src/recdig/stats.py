@@ -8,22 +8,26 @@ their logarithm.  Everything stays in exact integers; harmonic numbers
 only ever appear multiplied by factorials, and the asymptotics report is
 the single place where decimal renderings (never floats in identities)
 are produced.
+
+The total_* helpers and the identity suite use the closed form over
+Stirling differences; the asymptotics report is served by the table
+recursion (digraphs.count_sequence), so the two routes stay independent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, log, perm
+from math import factorial, log
 
 from recdig.digraphs import (
-    exact_div,
     cayley_count,
+    count_sequence,
     digraph_count,
     digraph_count_by_recurrent,
     endofunction_count,
 )
 from recdig.series import CoeffSeq, LogarithmDomainError, ShapeError, atom
-from recdig.stirling import iter_sdiff_levels, sdiff
+from recdig.stirling import sdiff
 
 EULER_GAMMA = 0.5772156649
 INV_E = "0.3678794412"
@@ -250,82 +254,61 @@ def asymptotics_report(nmax: int) -> list[AsymptoticsRow]:
     Emits the fixed-point-free fraction of Cayley permutations against 1/e,
     and average cycle counts (over endofunctions and over Cayley
     permutations of the classes all / forest / connected / derangement)
-    against (log(2n) + gamma) / 2.  Formula-only: streams one Stirling
-    difference level at a time, so nmax around 100 stays cheap.
+    against (log(2n) + gamma) / 2.  Every numerator and denominator comes
+    from the table recursion (count_sequence), one call per recurrent
+    class for all n at once: cycle totals count the class
+    component_weights(R), forest cycles the pointed sets E^., and each
+    connected structure has exactly one cycle.  O(nmax^2) big-integer
+    operations in all.
     """
-    fact = [1] * (nmax + 1)
-    for i in range(1, nmax + 1):
-        fact[i] = fact[i - 1] * i
+    def cayley(rec: CoeffSeq) -> tuple[int, ...]:
+        return count_sequence(rec, nmax, "cayley")
 
-    sub = atom("Der", nmax).counts
-    # r! * H_r, (E log E)[r] = r, and (Der log Der)[r], all exact integers.
-    slog = [sum(fact[r] // k for k in range(1, r + 1)) for r in range(nmax + 1)]
-    der_seq = atom("Der", nmax)
-    derlog = (der_seq * der_seq.log()).counts
+    perms, der, sets = atom("S", nmax), atom("Der", nmax), atom("E", nmax)
+    perm_cycles = component_weights(perms)
+    fubini, cayder = cayley(perms), cayley(der)
+    end_cycles = count_sequence(perm_cycles, nmax, "endofunctions")
+    connected = cayley(atom("C", nmax))
+    cay_cycles = {
+        "all": cayley(perm_cycles),
+        "forest": cayley(sets.pointing()),
+        "connected": connected,
+        "derangement": cayley(component_weights(der)),
+    }
+    cay_total = {
+        "all": fubini,
+        "forest": cayley(sets),
+        "connected": connected,
+        "derangement": cayder,
+    }
 
     rows: list[AsymptoticsRow] = []
-    for n, level in iter_sdiff_levels(nmax):
-        u = [0] * (n + 1)
-        v = [0] * (n + 1)
-        for m in range(n + 1):
-            fm = fact[m]
-            pm = perm(n, m)
-            row = level[m]
-            for r in range(n + 1):
-                val = row[r]
-                if val:
-                    u[r] += fm * val
-                    v[r] += pm * val
-
-        fubini = sum(u)
-        cayder = sum(exact_div(sub[r] * u[r], fact[r]) for r in range(n + 1))
+    for n in range(nmax + 1):
         rows.append(
             AsymptoticsRow(
                 "cayley_derangement_fraction",
                 n,
-                cayder,
-                fubini,
-                decimal_string(cayder, fubini),
+                cayder[n],
+                fubini[n],
+                decimal_string(cayder[n], fubini[n]),
                 INV_E,
             )
         )
         if n == 0:
             continue
         ref = _cycle_reference(n)
-        end_cycles = sum(
-            exact_div(slog[r] * v[r], fact[r]) for r in range(n + 1)
-        )
         rows.append(
             AsymptoticsRow(
                 "avg_cycles_endofunctions",
                 n,
-                end_cycles,
+                end_cycles[n],
                 n**n,
-                decimal_string(end_cycles, n**n),
+                decimal_string(end_cycles[n], n**n),
                 ref,
             )
         )
-        cay_cycles = {
-            "all": sum(exact_div(slog[r] * u[r], fact[r]) for r in range(n + 1)),
-            "forest": sum(
-                exact_div(r * u[r], fact[r]) for r in range(n + 1)
-            ),
-            "derangement": sum(
-                exact_div(derlog[r] * u[r], fact[r]) for r in range(n + 1)
-            ),
-        }
-        cay_total = {
-            "all": fubini,
-            "forest": sum(exact_div(u[r], fact[r]) for r in range(n + 1)),
-            "derangement": cayder,
-        }
-        # Connected structures have one component each: numerator = count.
-        connected = sum(exact_div(u[r], r) for r in range(1, n + 1))
-        cay_cycles["connected"] = connected
-        cay_total["connected"] = connected
-
         for cname in ("all", "forest", "connected", "derangement"):
-            num, den = cay_cycles[cname], cay_total[cname]
+            num, den = cay_cycles[cname][n], cay_total[cname][n]
             if den == 0:
                 continue
             rows.append(

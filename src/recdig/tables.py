@@ -10,7 +10,10 @@ merging the sorts back into one label set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from math import comb
+from operator import add, mul
+from typing import Iterable, Sequence
 
 from recdig.series import (
     CoeffSeq,
@@ -203,11 +206,7 @@ class CoeffTable:
         The binomial factor chooses which of the n labels play sort X:
         c[n] = sum_i binom(n, i) * a[i][n-i].
         """
-        n = self.truncation
-        counts = tuple(
-            sum(comb(m, i) * self.rows[i][m - i] for i in range(m + 1))
-            for m in range(n + 1)
-        )
+        counts = merge_sorts(self.rows, self.truncation, identify=True)
         return CoeffSeq(
             counts, label=f"{self.label}(X,X)", virtual=self.virtual
         )
@@ -218,10 +217,7 @@ class CoeffTable:
         Plain antidiagonal sums: c[n] = sum_i a[i][n-i].  This is the
         Cayley-permutation style merge (internal nodes take 1..i).
         """
-        n = self.truncation
-        counts = tuple(
-            sum(self.rows[i][m - i] for i in range(m + 1)) for m in range(n + 1)
-        )
+        counts = merge_sorts(self.rows, self.truncation, identify=False)
         return CoeffSeq(counts, label=f"{self.label}^", virtual=self.virtual)
 
     def json_dict(self) -> dict:
@@ -231,6 +227,29 @@ class CoeffTable:
             "virtual": self.virtual,
             "rows": [[str(c) for c in row] for row in self.rows],
         }
+
+
+def merge_sorts(
+    rows: Iterable[Sequence[int]], nmax: int, identify: bool
+) -> tuple[int, ...]:
+    """Antidiagonal sums c[n] of a triangular table read row by row.
+
+    Row i holds a[i][0..nmax-i].  Without ``identify`` each cell adds into
+    c[i+j] as is (concat_sorts); with it the cell is first weighted by
+    binom(i+j, i) (identify_sorts).  Those weights, for j = 0..nmax-i, are
+    the prefix sums of the previous row's weights, so no binomial is
+    computed per cell.  Rows are consumed one at a time and never stored,
+    which lets a generator stream a table of any size through here.
+    """
+    totals = [0] * (nmax + 1)
+    binoms = [1] * (nmax + 1)
+    for i, row in enumerate(rows):
+        if identify:
+            if i:
+                binoms = list(accumulate(binoms[: len(row)]))
+            row = map(mul, binoms, row)
+        totals[i:] = map(add, totals[i:], row)
+    return tuple(totals)
 
 
 def compose_table(outer: CoeffSeq, inner: CoeffTable) -> CoeffTable:

@@ -3,6 +3,9 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from recdig import oracle
 from recdig.cli import main
 
 
@@ -94,11 +97,44 @@ def test_verify_ok():
     assert rc == 0
 
 
-def test_budget_exit_code():
+def test_budget_exit_code(monkeypatch):
     rc, _ = run(["count", "--n", "9", "--model", "endofunctions"])
     assert rc == 3
+    # verify checks the budget for its largest n before enumerating any map.
+    calls = []
+    monkeypatch.setattr(oracle, "count", lambda *args, **kw: calls.append(args))
     rc, _ = run(["verify", "--nmax", "10"])
     assert rc == 3
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["seq", "cay", "--nmax", "-3"],
+        ["table", "sdiff", "--r", "-2", "--nmax", "4"],
+        ["table", "psi", "--nmax", "-1"],
+        ["count", "--n", "-1"],
+        ["verify", "--nmax", "-1"],
+        ["joyal", "--n", "-1", "--input", "1"],
+        ["check", "identities", "--nmax", "-1"],
+        ["report", "asymptotics", "--nmax", "-1"],
+    ],
+    ids=["seq", "table-sdiff", "table-psi", "count", "verify", "joyal", "check",
+         "report"],
+)
+def test_negative_sizes_are_usage_errors(argv):
+    assert run(argv) == (2, "")
+
+
+def test_seq_prints_counts_past_the_int_str_digit_limit():
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(4300)  # the interpreter's default
+    rc, out = run(["seq", "cay", "--nmax", "1500"])
+    assert rc == 0
+    n, count = out.splitlines()[-1].split(",")
+    assert n == "1500"
+    assert len(count) > 4300
 
 
 def test_usage_error_exit_code():

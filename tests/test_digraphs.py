@@ -1,7 +1,11 @@
+import io
+
 import pytest
 
 from recdig import oracle
+from recdig.cli import main
 from recdig.digraphs import (
+    CLASS_RECURRENT_ATOMS,
     InexactDivisionError,
     bounded_arity_tree_table,
     cayley_connected_count,
@@ -9,6 +13,7 @@ from recdig.digraphs import (
     cayley_derangement_count,
     cayley_forest_count,
     cayley_tree_count,
+    count_sequence,
     digraph_count,
     digraph_count_by_recurrent,
     digraph_table,
@@ -19,6 +24,7 @@ from recdig.digraphs import (
     recurrent_structure_for_class,
 )
 from recdig.series import ShapeError, atom
+from recdig.stirling import sdiff
 from recdig.tables import compose_table, rooted_tree_table
 
 FUBINI = (1, 1, 3, 13, 75, 541, 4683, 47293, 545835, 7087261)
@@ -80,6 +86,52 @@ def test_recursion_unrolled_once():
         table = digraph_table(rec, 3)
         assert table[1, 1] == rec.counts[1]
     assert digraph_table(atom("S", 4), 4)[2, 2] == 14
+
+
+def test_count_sequence_matches_closed_form():
+    nmax = 60
+    for klass, label in CLASS_RECURRENT_ATOMS.items():
+        rec = atom(label, nmax)
+        assert count_sequence(rec, nmax, "cayley") == tuple(
+            cayley_count(n, rec) for n in range(nmax + 1)
+        ), klass
+        assert count_sequence(rec, nmax, "endofunctions") == tuple(
+            endofunction_count(n, rec) for n in range(nmax + 1)
+        ), klass
+
+
+def test_count_sequence_matches_stored_table_merges():
+    nmax = 300
+    for label in CLASS_RECURRENT_ATOMS.values():
+        rec = atom(label, nmax)
+        table = digraph_table(rec, nmax)
+        assert count_sequence(rec, nmax, "cayley") == table.concat_sorts().counts
+        assert (
+            count_sequence(rec, nmax, "endofunctions")
+            == table.identify_sorts().counts
+        )
+
+
+def test_count_sequence_input_errors():
+    with pytest.raises(ValueError):
+        count_sequence(atom("S", 3), 3, "permutations")
+    with pytest.raises(ShapeError):
+        count_sequence(atom("S", 3), 4, "cayley")
+    with pytest.raises(ShapeError):
+        digraph_table(atom("S", 3), -1)
+
+
+def test_serving_commands_leave_the_closed_form_cold():
+    sdiff.cache_clear()
+    for argv in (
+        ["seq", "cayder", "--nmax", "20"],
+        ["seq", "cay", "--class", "forest", "--nmax", "20"],
+        ["seq", "end", "--class", "connected", "--nmax", "20"],
+        ["verify", "--nmax", "4", "--model", "endofunctions"],
+        ["report", "asymptotics", "--nmax", "20"],
+    ):
+        assert main(argv, out=io.StringIO()) == 0, argv
+    assert sdiff.cache_info().currsize == 0
 
 
 def test_table_2_2_against_oracle():

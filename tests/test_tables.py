@@ -127,6 +127,26 @@ def test_identify_and_concat_sorts():
     assert CoeffTable.from_seq_x(s).concat_sorts().counts == s.counts
 
 
+def test_merges_match_per_cell_binomials():
+    import random
+    from math import comb
+
+    rng = random.Random(7)
+    n = 40
+    rows = tuple(
+        tuple(rng.randint(-(10**30), 10**30) for _ in range(n + 1 - i))
+        for i in range(n + 1)
+    )
+    table = CoeffTable(rows, virtual=True)
+    assert table.identify_sorts().counts == tuple(
+        sum(comb(m, i) * rows[i][m - i] for i in range(m + 1))
+        for m in range(n + 1)
+    )
+    assert table.concat_sorts().counts == tuple(
+        sum(rows[i][m - i] for i in range(m + 1)) for m in range(n + 1)
+    )
+
+
 def test_merges_are_linear():
     a = rooted_tree_table(5)
     b = compose_table(atom("E", 5), a)
