@@ -4,7 +4,10 @@ Every data cell is printed as a decimal string, CSV is header-first and
 newline-terminated, JSON output is one object per line; identical argv
 always produces byte-identical output.  Exit codes: 0 success, 1
 verification or identity mismatch, 2 usage error (including a negative
-size), 3 enumeration budget exceeded.
+size), 3 enumeration budget exceeded, 4 internal error (any other
+exception, such as a RecursionError or a failed exactness or residual
+check: a bug, reported as one ``internal error:`` line and the traceback
+on stderr).
 
 Routes: seq, the formula column of verify, and report asymptotics are
 served by the two-sort table recursion (digraphs.count_sequence); table
@@ -31,6 +34,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 SEQ_CLASSES = ("all", "tree", "forest", "connected", "derangement")
 
@@ -279,6 +283,12 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        import traceback  # only on this path, to keep start-up imports lean
+
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 def main_entry() -> None:

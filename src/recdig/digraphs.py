@@ -122,24 +122,30 @@ def count_sequence(rec: CoeffSeq, nmax: int, model: str) -> tuple[int, ...]:
     )
 
 
+def _closed_form_total(n: int, rec: CoeffSeq, weights: list[int]) -> int:
+    """sum_r |R[r]| / r! * sum_i weights[i] * sdiff(n, i, r).
+
+    The weight picks which labels play the i internal nodes: any i of them
+    in order (perm(n, i), endofunctions), or 1..i (i!, Cayley
+    permutations).
+    """
+    total = 0
+    for r in range(n + 1):
+        inner = sum(w * sdiff(n, i, r) for i, w in enumerate(weights))
+        total += exact_div(rec.counts[r] * inner, factorial(r))
+    return total
+
+
 def endofunction_count(n: int, rec: CoeffSeq) -> int:
     """R-recurrent endofunctions of [n]: both sorts over the same labels."""
     _need_truncation(rec, n, "endofunction_count")
-    total = 0
-    for r in range(n + 1):
-        inner = sum(perm(n, i) * sdiff(n, i, r) for i in range(n + 1))
-        total += exact_div(rec.counts[r] * inner, factorial(r))
-    return total
+    return _closed_form_total(n, rec, [perm(n, i) for i in range(n + 1)])
 
 
 def cayley_count(n: int, rec: CoeffSeq) -> int:
     """R-recurrent Cayley permutations of [n]: internal nodes take 1..i."""
     _need_truncation(rec, n, "cayley_count")
-    total = 0
-    for r in range(n + 1):
-        inner = sum(factorial(i) * sdiff(n, i, r) for i in range(n + 1))
-        total += exact_div(rec.counts[r] * inner, factorial(r))
-    return total
+    return _closed_form_total(n, rec, [factorial(i) for i in range(n + 1)])
 
 
 # -- named structure classes -------------------------------------------------

@@ -19,6 +19,7 @@ from recdig.series import (
     CoeffSeq,
     CompositionDomainError,
     ShapeError,
+    pascal_rows,
 )
 
 
@@ -252,14 +253,60 @@ def merge_sorts(
     return tuple(totals)
 
 
+def _compose_cell(g, prev, binom, i: int, j: int) -> int:
+    """Cell (i, j), i + j >= 1, of u_m = F^(m) o G, from u_{m+1} = prev.
+
+    dX(F o G) = dX(G) * (F' o G) gives the cells with i >= 1, and
+    dY(F o G) = dY(G) * (F' o G) the i = 0 column.  The cell reads G up to
+    degree i + j and u_{m+1} below it.
+    """
+    s = 0
+    if i:
+        bj = binom[j]
+        for p, bp in enumerate(binom[i - 1]):
+            gp, up = g[p + 1], prev[i - 1 - p]
+            for q in range(j + 1):
+                gv = gp[q]
+                if gv:
+                    s += bp * bj[q] * gv * up[j - q]
+    else:
+        g0, u0 = g[0], prev[0]
+        for q, bq in enumerate(binom[j - 1]):
+            gv = g0[q + 1]
+            if gv:
+                s += bq * gv * u0[j - 1 - q]
+    return s
+
+
+def _derivative_tables(f: Sequence[int]) -> list[list[list[int]]]:
+    """Empty arrays u_0..u_N for F^(m) o G: u_m is a triangle of truncation
+    N - m whose only known cell is u_m[0][0] = F[m]."""
+    big = len(f) - 1
+    us = []
+    for m, fm in enumerate(f):
+        size = big - m
+        u = [[0] * (size + 1 - i) for i in range(size + 1)]
+        u[0][0] = fm
+        us.append(u)
+    return us
+
+
+def _fill_degree(us, g, binom, d: int) -> None:
+    """Fill degree d of every u_m that reaches it (m <= N - d)."""
+    for m in range(len(us) - d):
+        cur, prev = us[m], us[m + 1]
+        for i in range(d + 1):
+            cur[i][d - i] = _compose_cell(g, prev, binom, i, d - i)
+
+
 def compose_table(outer: CoeffSeq, inner: CoeffTable) -> CoeffTable:
     """Substitute a two-sort class into a unisort one, division-free.
 
     Works like CoeffSeq.compose but in two variables: with u_m the table of
     F^(m) composed with G, the partial derivative identities
-    dX(F o G) = dX(G) * (F' o G) and dY(F o G) = dY(G) * (F' o G) fill each
-    u_m degree by degree (entries with i >= 1 from the X identity, the
-    remaining i = 0 column from the Y identity).
+    dX(F o G) = dX(G) * (F' o G) and dY(F o G) = dY(G) * (F' o G) fill
+    every u_m degree by degree (entries with i >= 1 from the X identity,
+    the remaining i = 0 column from the Y identity); u_0 is the result.
     """
     if outer.truncation != inner.truncation:
         raise ShapeError(
@@ -269,43 +316,21 @@ def compose_table(outer: CoeffSeq, inner: CoeffTable) -> CoeffTable:
     g = inner.rows
     if g[0][0] != 0:
         raise CompositionDomainError("inner class has structures on the empty set")
-    f = outer.counts
     big = outer.truncation
+    binom = list(pascal_rows(big))
+    us = _derivative_tables(outer.counts)
+    for d in range(1, big + 1):
+        _fill_degree(us, g, binom, d)
 
-    prev: list[list[int]] = []
-    for m in range(big, -1, -1):
-        size = big - m
-        cur = [[0] * (size + 1 - i) for i in range(size + 1)]
-        cur[0][0] = f[m]
-        for d in range(1, size + 1):
-            for i in range(1, d + 1):
-                j = d - i
-                s = 0
-                for p in range(i):
-                    bi = comb(i - 1, p)
-                    for q in range(j + 1):
-                        gv = g[p + 1][q]
-                        if gv:
-                            s += bi * comb(j, q) * gv * prev[i - 1 - p][j - q]
-                cur[i][j] = s
-            s = 0
-            for q in range(d):
-                gv = g[0][q + 1]
-                if gv:
-                    s += comb(d - 1, q) * gv * prev[0][d - 1 - q]
-            cur[0][d] = s
-        prev = cur
-
-    rows = tuple(tuple(row) for row in prev)
     return CoeffTable(
-        rows,
+        tuple(tuple(row) for row in us[0]),
         label=f"{outer.label}({inner.label})",
         virtual=outer.virtual or inner.virtual,
     )
 
 
 def solve_tree_equation(branching: CoeffSeq, nmax: int) -> CoeffTable:
-    """Unique fixed point T = X * (branching o (T - X + Y)) with T(X, 0) = X.
+    """Unique fixed point T = X * (branching o (T - X + Y)), in one pass.
 
     T counts rooted trees whose internal nodes are sort X and whose leaves
     are sort Y; ``branching`` dictates how the set of subtrees under a node
@@ -313,23 +338,43 @@ def solve_tree_equation(branching: CoeffSeq, nmax: int) -> CoeffTable:
     arity-limited trees).  The "- X + Y" swap accounts for a childless
     appended node turning into a leaf.
 
-    Each coefficient of total degree d depends only on degrees below d, so
-    iterating nmax + 1 times from the zero table reaches the fixed point;
-    one extra round asserts stabilization.
+    The solve is online (relaxed), degree by degree, on the arrays
+    u_m = B^(m) o G of compose_table with G = T - X + Y.  For d = 1..nmax,
+    degree d of T is X times degree d - 1 of u_0, the shift
+    T[i][j] = i * u_0[i-1][j]; that fixes degree d of G, and then degree d
+    of every u_m, which reads G up to degree d and u_{m+1} below it.  The
+    cost is that of one composition.  One exact residual check,
+    X * B(T - X + Y) == T through compose_table, guards the result.
     """
     if branching.truncation < nmax:
         raise ShapeError("branching sequence shorter than requested truncation")
     b = branching.truncate(nmax)
-    x1 = CoeffTable.x_singleton(nmax)
-    y1 = CoeffTable.y_singleton(nmax)
+    binom = list(pascal_rows(nmax))
+    # T up to degree nmax reads u_0 below it, so u_m stops at nmax - 1 - m.
+    us = _derivative_tables(b.counts[:nmax])
+    t = [[0] * (nmax + 1 - i) for i in range(nmax + 1)]
+    g = [[0] * (nmax + 1 - i) for i in range(nmax + 1)]
+    for d in range(1, nmax + 1):
+        for i in range(1, d + 1):
+            t[i][d - i] = g[i][d - i] = i * us[0][i - 1][d - i]
+        if d == 1:
+            g[1][0] -= 1
+            g[0][1] = 1
+        if d < nmax:
+            _fill_degree(us, g, binom, d)
 
-    t = CoeffTable.zero(nmax)
-    for _ in range(nmax + 1):
-        t = x1 * compose_table(b, t - x1 + y1)
-    again = x1 * compose_table(b, t - x1 + y1)
-    if again.rows != t.rows:
-        raise AssertionError("tree equation failed to stabilize; this is a bug")
-    return CoeffTable(t.rows, label=f"tree[{branching.label}]")
+    tree = CoeffTable(
+        tuple(tuple(row) for row in t), label=f"tree[{branching.label}]"
+    )
+    x1 = CoeffTable.x_singleton(nmax)
+    again = compose_table(b, tree - x1 + CoeffTable.y_singleton(nmax)).rows
+    if any(
+        c != i * again[i - 1][j]
+        for i in range(1, nmax + 1)
+        for j, c in enumerate(tree.rows[i])
+    ):
+        raise AssertionError("tree equation has a nonzero residual; this is a bug")
+    return tree
 
 
 def rooted_tree_table(nmax: int) -> CoeffTable:

@@ -137,6 +137,25 @@ def test_seq_prints_counts_past_the_int_str_digit_limit():
     assert len(count) > 4300
 
 
+def test_internal_errors_exit_4_and_mismatches_exit_1(monkeypatch, capsys):
+    from recdig import cli
+
+    def overflow(args, out):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "_cmd_seq", overflow)
+    assert run(["seq", "cay", "--nmax", "3"]) == (cli.EXIT_INTERNAL, "")
+    assert cli.EXIT_INTERNAL == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RecursionError")
+    assert "Traceback" in err
+
+    monkeypatch.setattr(oracle, "count", lambda *args, **kw: -1)
+    rc, out = run(["verify", "--nmax", "3"])
+    assert rc == 1
+    assert "MISMATCH" in out
+
+
 def test_usage_error_exit_code():
     rc, _ = run(["frobnicate"])
     assert rc == 2

@@ -149,6 +149,14 @@ def test_formula_matches_composition_route():
                 assert composed[i, j] == digraph_count(i, j, rec), (label, i, j)
 
 
+def test_composition_route_matches_recursion_to_30():
+    n = 30
+    trees = rooted_tree_table(n)
+    for label in CLASS_RECURRENT_ATOMS.values():
+        rec = atom(label, n)
+        assert compose_table(rec, trees) == digraph_table(rec, n), label
+
+
 def test_closed_forms():
     assert [endofunction_count(n, atom("S", n)) for n in range(10)] == [
         n**n for n in range(10)

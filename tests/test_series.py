@@ -45,6 +45,16 @@ def test_atom_partitions_against_brute_force():
     assert got == tuple(sum(1 for _ in set_partitions(n)) for n in range(6))
 
 
+def test_ballots_and_partitions_match_composition():
+    n = 80
+    e_plus = atom("E", n).positive_part()
+    assert atom("Bal", n) == atom("L", n).compose(e_plus)
+    assert atom("Par", n) == atom("E", n).compose(e_plus)
+    for k in range(n):
+        assert atom("Bal", k) == atom("Bal", n).truncate(k)
+        assert atom("Par", k) == atom("Par", n).truncate(k)
+
+
 def test_parametric_atoms():
     assert atom("E_r", 4, 2).counts == (0, 0, 1, 0, 0)
     assert atom("S_r", 4, 3).counts == (0, 0, 0, 6, 0)

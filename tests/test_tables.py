@@ -1,6 +1,8 @@
+from math import comb
+
 import pytest
 
-from recdig import oracle
+from recdig import oracle, tables
 from recdig.digraphs import digraph_table
 from recdig.series import CompositionDomainError, ShapeError, atom
 from recdig.tables import (
@@ -70,6 +72,60 @@ def test_rooted_tree_table_matches_direct_enumeration():
     for i in range(6):
         for j in range(6 - i):
             assert a[i, j] == sum(1 for _ in two_sort_trees(i, j)), (i, j)
+
+
+def test_rooted_tree_table_is_cayley_to_40():
+    n = 40
+    assert rooted_tree_table(n).identify_sorts().counts == (0,) + tuple(
+        k ** (k - 1) for k in range(1, n + 1)
+    )
+
+
+def _binary_tree_rows(nmax):
+    """Two-sort trees in which every node has at most two children, counted
+    directly.  The root takes one of its i labels; under it hang nothing
+    (a lone root), one child, or an unordered pair of children on disjoint
+    labels.  A child is a leaf or a tree with at least one child."""
+    rows = [[0] * (nmax + 1 - i) for i in range(nmax + 1)]
+
+    def child(i, j):
+        if (i, j) == (0, 1):
+            return 1
+        return rows[i][j] if i and (i, j) != (1, 0) else 0
+
+    for size in range(1, nmax + 1):
+        for i in range(1, size + 1):
+            a, b = i - 1, size - i
+            ordered_pairs = sum(
+                comb(a, a1) * comb(b, b1) * child(a1, b1) * child(a - a1, b - b1)
+                for a1 in range(a + 1)
+                for b1 in range(b + 1)
+            )
+            lone = 1 if (a, b) == (0, 0) else 0
+            rows[i][b] = i * (lone + child(a, b) + ordered_pairs // 2)
+    return rows
+
+
+def test_binary_tree_table_matches_direct_count_to_20():
+    from recdig.digraphs import bounded_arity_tree_table
+
+    n = 20
+    got = bounded_arity_tree_table(2, n).rows
+    assert got == tuple(tuple(row) for row in _binary_tree_rows(n))
+
+
+def test_tree_solver_residual_check_fires(monkeypatch):
+    honest = tables.compose_table
+
+    def perturbed(outer, inner):
+        result = honest(outer, inner)
+        rows = [list(row) for row in result.rows]
+        rows[1][2] += 1
+        return CoeffTable(tuple(tuple(row) for row in rows))
+
+    monkeypatch.setattr(tables, "compose_table", perturbed)
+    with pytest.raises(AssertionError):
+        rooted_tree_table(5)
 
 
 def test_tree_equation_needs_long_branching():
