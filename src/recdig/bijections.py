@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
 
-from recdig.oracle import Endofunction, check_endofunction
+from recdig.oracle import Endofunction, check_endofunction, recurrent_points
 
 
 class StructureError(ValueError):
@@ -52,15 +52,7 @@ class DoublyRootedTree:
         if expected != self.edges:
             raise StructureError("edges must be sorted (min, max) pairs")
         # n - 1 edges and connectivity together force acyclicity.
-        seen = {1}
-        stack = [1]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        if len(seen) != n:
+        if -1 in _parents(adj, 1)[1:]:
             raise StructureError("tree is not connected")
 
 
@@ -74,23 +66,22 @@ def _adjacency(n: int, edges) -> list[list[int]]:
     return adj
 
 
-def _tree_path(n: int, edges, start: int, goal: int) -> list[int]:
-    adj = _adjacency(n, edges)
-    parent = {start: 0}
-    stack = [start]
+def _parents(adj: list[list[int]], source: int) -> list[int]:
+    """Depth-first search from source over the adjacency lists.
+
+    Entry v is the node from which v was reached: 0 for the source, -1 for
+    a node the search did not reach (and for the unused index 0).
+    """
+    parent = [-1] * len(adj)
+    parent[source] = 0
+    stack = [source]
     while stack:
         u = stack.pop()
-        if u == goal:
-            break
         for v in adj[u]:
-            if v not in parent:
+            if parent[v] < 0:
                 parent[v] = u
                 stack.append(v)
-    path = [goal]
-    while path[-1] != start:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
+    return parent
 
 
 def endofunction_to_tree(f: Endofunction) -> DoublyRootedTree:
@@ -103,7 +94,7 @@ def endofunction_to_tree(f: Endofunction) -> DoublyRootedTree:
     n = len(f)
     if n == 0:
         raise StructureError("the empty endofunction has no tree counterpart")
-    recurrent = _recurrent_set(f)
+    recurrent = recurrent_points(f)
     spine = [f[u - 1] for u in sorted(recurrent)]
     edges = {(min(v, f[v - 1]), max(v, f[v - 1]))
              for v in range(1, n + 1) if v not in recurrent}
@@ -116,33 +107,20 @@ def endofunction_to_tree(f: Endofunction) -> DoublyRootedTree:
 
 
 def tree_to_endofunction(t: DoublyRootedTree) -> Endofunction:
-    """Read the spine as a permutation of its sorted labels; hang the rest."""
-    spine = _tree_path(t.n, t.edges, t.tail, t.head)
-    spine_set = set(spine)
-    f = [0] * t.n
-    for u, w in zip(sorted(spine_set), spine):
+    """Read the spine as a permutation of its sorted labels; hang the rest.
+
+    One search from the head gives every node its neighbor toward the head.
+    The spine is the tail's chain of those parents; a node off the spine
+    maps to its parent, which is its neighbor toward the spine.
+    """
+    parent = _parents(_adjacency(t.n, t.edges), t.head)
+    spine = [t.tail]
+    while spine[-1] != t.head:
+        spine.append(parent[spine[-1]])
+    f = parent[1:]
+    for u, w in zip(sorted(spine), spine):
         f[u - 1] = w
-    # Off-spine nodes point at their neighbor toward the spine.
-    adj = _adjacency(t.n, t.edges)
-    stack = list(spine)
-    visited = set(spine_set)
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in visited:
-                visited.add(v)
-                f[v - 1] = u
-                stack.append(v)
     return tuple(f)
-
-
-def _recurrent_set(f: Endofunction) -> set[int]:
-    current = set(range(1, len(f) + 1))
-    while True:
-        nxt = {f[u - 1] for u in current}
-        if nxt == current:
-            return current
-        current = nxt
 
 
 # -- two-sort structures -----------------------------------------------------
@@ -153,24 +131,24 @@ def _check_forest(
     y_parent: tuple[int, ...],
     extra_children: set[int],
     single_root: bool,
-) -> None:
+) -> list[int]:
+    """Validate a forest of two-sort trees; return its roots in order.
+
+    Every childless internal node must be a root: a node has a child when
+    it is the parent of an internal node or a leaf, or is in extra_children.
+    """
     i = len(x_parent)
     roots = [x + 1 for x, p in enumerate(x_parent) if p is None]
     if not roots:
         raise StructureError("no root")
     if single_root and len(roots) != 1:
         raise StructureError("expected exactly one root")
-    has_child = set(extra_children)
-    for x, p in enumerate(x_parent):
-        if p is None:
-            continue
-        if not 1 <= p <= i:
+    for p in x_parent:
+        if p is not None and not 1 <= p <= i:
             raise StructureError(f"parent {p} outside [1..{i}]")
-        has_child.add(p)
     for y, p in enumerate(y_parent):
         if not 1 <= p <= i:
             raise StructureError(f"leaf {y + 1} parent {p} outside [1..{i}]")
-        has_child.add(p)
     # Climb from every node; a cycle would never reach a root.
     for x in range(1, i + 1):
         seen = set()
@@ -180,10 +158,12 @@ def _check_forest(
                 raise StructureError("parent map has a cycle")
             seen.add(v)
             v = x_parent[v - 1]
-    root_set = set(roots)
-    for x in range(1, i + 1):
-        if x not in has_child and x not in root_set:
-            raise StructureError(f"non-root internal node {x} has no children")
+    bare = _childless(x_parent).difference(y_parent, extra_children, roots)
+    if bare:
+        raise StructureError(
+            f"non-root internal node {min(bare)} has no children"
+        )
+    return roots
 
 
 @dataclass(frozen=True)
@@ -202,16 +182,11 @@ class TwoSortTree:
     def __post_init__(self):
         if not self.x_parent:
             raise StructureError("a two-sort tree needs an internal root")
+        # With one root and no cycle, the root is childless only when it
+        # is bare (i = 1, j = 0), so the forest check covers every node.
         _check_forest(
             self.x_parent, self.y_parent, extra_children=set(), single_root=True
         )
-        if len(self.x_parent) == 1 and not self.y_parent:
-            return  # bare root
-        has_child = set(p for p in self.x_parent if p is not None)
-        has_child.update(self.y_parent)
-        for x in range(1, len(self.x_parent) + 1):
-            if x not in has_child:
-                raise StructureError(f"internal node {x} has no children")
 
 
 @dataclass(frozen=True)
@@ -254,20 +229,20 @@ class PermutedForest:
     root_image: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        roots = [x + 1 for x, p in enumerate(self.x_parent) if p is None]
-        _check_forest(
+        roots = _check_forest(
             self.x_parent, self.y_parent, extra_children=set(), single_root=False
         )
-        dom = tuple(sorted(r for r, _ in self.root_image))
-        img = tuple(sorted(v for _, v in self.root_image))
-        if dom != tuple(roots) or img != tuple(roots):
+        dom = sorted(r for r, _ in self.root_image)
+        img = sorted(v for _, v in self.root_image)
+        if dom != roots or img != roots:
             raise StructureError("root_image must permute the forest roots")
         if self.root_image != tuple(sorted(self.root_image)):
             raise StructureError("root_image pairs must be sorted by root")
 
     @property
     def roots(self) -> tuple[int, ...]:
-        return tuple(x + 1 for x, p in enumerate(self.x_parent) if p is None)
+        """The forest roots in ascending order: root_image's sorted domain."""
+        return tuple(r for r, _ in self.root_image)
 
 
 def pointed_tree_to_permuted_forest(t: PointedLeafTree) -> PermutedForest:
@@ -279,9 +254,7 @@ def pointed_tree_to_permuted_forest(t: PointedLeafTree) -> PermutedForest:
     x_parent = tuple(
         None if x + 1 in spine_set else p for x, p in enumerate(t.x_parent)
     )
-    root_image = tuple(
-        sorted((u, w) for u, w in zip(sorted(spine_set), spine))
-    )
+    root_image = tuple(zip(sorted(spine_set), spine))
     return PermutedForest(
         x_parent=x_parent, y_parent=t.y_parent, root_image=root_image
     )
@@ -289,11 +262,7 @@ def pointed_tree_to_permuted_forest(t: PointedLeafTree) -> PermutedForest:
 
 def permuted_forest_to_pointed_tree(p: PermutedForest) -> PointedLeafTree:
     """Inverse of the cut: rebuild the spine from the root permutation."""
-    roots = p.roots
-    if not roots:
-        raise StructureError("the permutation must be nonempty")
-    image = dict(p.root_image)
-    spine = [image[u] for u in roots]
+    spine = [w for _, w in p.root_image]
     x_parent = list(p.x_parent)
     for w, nxt in zip(spine, spine[1:]):
         x_parent[w - 1] = nxt
@@ -352,17 +321,9 @@ def rooted_parent_maps(i: int) -> Iterator[tuple[int | None, ...]]:
     for edges in labeled_trees(i):
         adj = _adjacency(i, edges)
         for root in range(1, i + 1):
-            parent: list[int | None] = [None] * i
-            stack = [root]
-            seen = {root}
-            while stack:
-                u = stack.pop()
-                for v in adj[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        parent[v - 1] = u
-                        stack.append(v)
-            yield tuple(parent)
+            parent = _parents(adj, root)
+            parent[root] = None
+            yield tuple(parent[1:])
 
 
 def two_sort_trees(i: int, j: int) -> Iterator[TwoSortTree]:
@@ -398,8 +359,7 @@ def pointed_leaf_trees(i: int, j: int) -> Iterator[PointedLeafTree]:
 
 
 def _childless(skeleton: tuple[int | None, ...]) -> set[int]:
-    parents = set(p for p in skeleton if p is not None)
-    return {x for x in range(1, len(skeleton) + 1) if x not in parents}
+    return set(range(1, len(skeleton) + 1)).difference(skeleton)
 
 
 # -- DOT export ----------------------------------------------------------------

@@ -177,6 +177,22 @@ class DigraphProfile:
         return self.fixed_point_count == 0
 
 
+def recurrent_points(f: Endofunction) -> frozenset[int]:
+    """The nodes on the cycles of f: the stable set of the iterated image.
+
+    `classify` and the spine bijections share this routine.  That keeps the
+    routes independent: the oracle's counts are checked against the closed
+    form and the table recursion, and the bijections by their own round
+    trips and by the tree counts the closed form gives.
+    """
+    current = set(range(1, len(f) + 1))
+    while True:
+        nxt = {f[u - 1] for u in current}
+        if nxt == current:
+            return frozenset(current)
+        current = nxt
+
+
 def classify(f: Endofunction) -> DigraphProfile:
     """Classify a functional digraph; depends only on the value tuple."""
     n = len(f)
@@ -187,14 +203,7 @@ def classify(f: Endofunction) -> DigraphProfile:
     k = len(image)
     is_cayley = all(indeg[v] for v in range(1, k + 1))
 
-    # The recurrent set is the stable set of the iterated image.
-    current = set(range(1, n + 1))
-    while True:
-        nxt = {f[u - 1] for u in current}
-        if nxt == current:
-            break
-        current = nxt
-    recurrent = frozenset(current)
+    recurrent = recurrent_points(f)
 
     lengths = []
     seen: set[int] = set()

@@ -124,13 +124,11 @@ def _ballot_powers(nmax: int, rmax: int):
     bal = atom("Bal", nmax)
     mixed = []
     square = []
-    er = atom("1", nmax)
+    er = balr = atom("1", nmax)
     for r in range(rmax + 1):
-        balr = atom("1", nmax)
-        for _ in range(r):
-            balr = balr * bal
         square.append(er * balr)
-        mixed.append(er * (balr * bal))
+        balr = balr * bal
+        mixed.append(er * balr)
         er = er * e
     return mixed, square
 
@@ -178,6 +176,7 @@ def identity_checks(
                 )
             )
 
+    cayley = [cayley_count(n, rec) for n in range(nmax + 1)]
     # Pointed-segment expansion, assembled with the actual sequence operations.
     total = rec.truncate(nmax)
     acc = [total.counts[n] for n in range(nmax + 1)]
@@ -189,9 +188,7 @@ def identity_checks(
             acc[n] += term.counts[n]
     for n in range(nmax + 1):
         checks.append(
-            IdentityCheck(
-                "segment_expansion", (n,), cayley_count(n, rec), acc[n]
-            )
+            IdentityCheck("segment_expansion", (n,), cayley[n], acc[n])
         )
 
     halved = [0] * (nmax + 1)
@@ -204,7 +201,7 @@ def identity_checks(
             IdentityCheck(
                 "segment_expansion_halved",
                 (n,),
-                2 * cayley_count(n, rec),
+                2 * cayley[n],
                 halved[n],
             )
         )

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from recdig import oracle
@@ -192,3 +194,71 @@ def test_dot_exports():
     assert "peripheries=2" in g or "peripheries=4" in g
     with pytest.raises(ValueError):
         endofunction_dot((1, 5, 2))
+
+
+# -- seeded property tests beyond the exhaustive range ------------------------
+
+
+def _spine_nodes(t):
+    # The tail-to-head path, found by its own breadth-first search.
+    adj = {v: [] for v in range(1, t.n + 1)}
+    for a, b in t.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    parent = {t.tail: None}
+    queue = [t.tail]
+    for u in queue:
+        for v in adj[u]:
+            if v not in parent:
+                parent[v] = u
+                queue.append(v)
+    path = [t.head]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return set(path)
+
+
+def test_unisort_round_trip_random_large():
+    rng = random.Random(20250)
+    for _ in range(150):
+        n = rng.randint(1, 200)
+        f = tuple(rng.randint(1, n) for _ in range(n))
+        t = endofunction_to_tree(f)
+        assert tree_to_endofunction(t) == f
+        # The cycle set of f is the image of f^n.
+        assert _spine_nodes(t) == set(oracle.compose_power(f, n))
+
+
+def _random_pointed_leaf_tree(rng, i, extra_leaves):
+    labels = list(range(1, i + 1))
+    rng.shuffle(labels)
+    x_parent = [None] * i
+    for k in range(1, i):  # a random recursive tree on shuffled labels
+        x_parent[labels[k] - 1] = labels[rng.randrange(k)]
+    parents = set(x_parent)
+    childless = [x for x in labels[1:] if x not in parents]
+    # Every childless non-root node gets one leaf or the extra leaf.
+    if childless and rng.random() < 0.5:
+        star = childless.pop(rng.randrange(len(childless)))
+    else:
+        star = rng.randint(1, i)
+    y_parent = childless + [rng.randint(1, i) for _ in range(extra_leaves)]
+    rng.shuffle(y_parent)
+    return PointedLeafTree(
+        x_parent=tuple(x_parent), y_parent=tuple(y_parent), star_parent=star
+    )
+
+
+def test_two_sort_round_trip_random_large():
+    rng = random.Random(40)
+    for _ in range(300):
+        t = _random_pointed_leaf_tree(
+            rng, rng.randint(1, 40), rng.randint(0, 20)
+        )
+        p = pointed_tree_to_permuted_forest(t)
+        spine = [t.star_parent]
+        while t.x_parent[spine[-1] - 1] is not None:
+            spine.append(t.x_parent[spine[-1] - 1])
+        assert set(p.roots) == set(spine)
+        assert p.y_parent == t.y_parent
+        assert permuted_forest_to_pointed_tree(p) == t

@@ -25,7 +25,7 @@ from recdig.digraphs import (
 )
 from recdig.series import ShapeError, atom
 from recdig.stirling import sdiff
-from recdig.tables import compose_table, rooted_tree_table
+from recdig.tables import CoeffTable, compose_table, rooted_tree_table
 
 FUBINI = (1, 1, 3, 13, 75, 541, 4683, 47293, 545835, 7087261)
 CAYDER = (1, 0, 1, 4, 25, 184, 1617, 16492, 191721, 2503040, 36267393, 577560596)
@@ -263,12 +263,12 @@ def test_single_leaf_branches_are_idempotents():
 
 
 def test_single_leaf_branch_table_is_a_composition():
-    from recdig.expr import Atom, Compose, Product, evaluate
-
-    expr = Compose(Atom("E"), Product((Atom("X"), Compose(Atom("E"), Atom("Y")))))
-    assert evaluate(expr, 6).rows == digraph_table_with_branches(
-        atom("E", 6), atom("1", 6), 6
-    ).rows
+    # E(X * E(Y)): sets of internal nodes, each with a set of leaves.
+    x = CoeffTable.from_seq_x(atom("X", 6))
+    leaves = compose_table(atom("E", 6), CoeffTable.y_singleton(6))
+    assert compose_table(atom("E", 6), x * leaves).rows == (
+        digraph_table_with_branches(atom("E", 6), atom("1", 6), 6).rows
+    )
 
 
 def test_bounded_arity_trees():
