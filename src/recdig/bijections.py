@@ -48,9 +48,12 @@ class DoublyRootedTree:
         if len(self.edges) != n - 1:
             raise StructureError(f"a tree on {n} nodes has {n - 1} edges")
         adj = _adjacency(n, self.edges)
-        expected = tuple(sorted((min(a, b), max(a, b)) for a, b in self.edges))
-        if expected != self.edges:
-            raise StructureError("edges must be sorted (min, max) pairs")
+        # One scan: canonical means a < b in every pair, pairs increasing.
+        prev = (0, 0)
+        for a, b in self.edges:
+            if not (a < b and prev < (a, b)):
+                raise StructureError("edges must be sorted (min, max) pairs")
+            prev = a, b
         # n - 1 edges and connectivity together force acyclicity.
         if -1 in _parents(adj, 1)[1:]:
             raise StructureError("tree is not connected")
@@ -149,15 +152,17 @@ def _check_forest(
     for y, p in enumerate(y_parent):
         if not 1 <= p <= i:
             raise StructureError(f"leaf {y + 1} parent {p} outside [1..{i}]")
-    # Climb from every node; a cycle would never reach a root.
+    # Climb from every node until a root or a node stamped by an earlier
+    # climb, which is known to reach a root; meeting the climb's own stamp
+    # means a cycle.  Each node is climbed through once.
+    stamp = [0] * (i + 1)
     for x in range(1, i + 1):
-        seen = set()
         v: int | None = x
-        while v is not None:
-            if v in seen:
-                raise StructureError("parent map has a cycle")
-            seen.add(v)
+        while v is not None and not stamp[v]:
+            stamp[v] = x
             v = x_parent[v - 1]
+        if v is not None and stamp[v] == x:
+            raise StructureError("parent map has a cycle")
     bare = _childless(x_parent).difference(y_parent, extra_children, roots)
     if bare:
         raise StructureError(

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -122,6 +123,30 @@ def test_pointed_leaf_tree_validation():
     PointedLeafTree(x_parent=(None, 1), y_parent=(), star_parent=2)
     with pytest.raises(StructureError):
         PointedLeafTree(x_parent=(None, 1), y_parent=(), star_parent=1)
+
+
+def test_forest_cycle_is_rejected_beside_a_root():
+    with pytest.raises(StructureError, match="parent map has a cycle"):
+        TwoSortTree(x_parent=(None, 3, 2), y_parent=(1, 2, 3))
+    # The climb from 2 reaches the root; the one from 3 loops through 4.
+    with pytest.raises(StructureError, match="parent map has a cycle"):
+        PointedLeafTree(x_parent=(None, 1, 4, 3), y_parent=(2, 3), star_parent=4)
+    with pytest.raises(StructureError, match="parent map has a cycle"):
+        PermutedForest(x_parent=(None, 1, 1, 5, 4), y_parent=(2, 3, 4, 5),
+                       root_image=((1, 1),))
+
+
+def test_chain_pointed_leaf_tree_validates_in_linear_time():
+    # Internal node t hangs from t - 1; the old check climbed from every
+    # node to the root and took over a second at this size.
+    i = 5000
+    start = time.perf_counter()
+    t = PointedLeafTree(
+        x_parent=(None,) + tuple(range(1, i)), y_parent=(i,), star_parent=i
+    )
+    assert time.perf_counter() - start < 0.5
+    back = permuted_forest_to_pointed_tree(pointed_tree_to_permuted_forest(t))
+    assert back == t
 
 
 def test_permuted_forest_validation():

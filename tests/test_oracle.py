@@ -1,3 +1,7 @@
+import random
+import time
+from itertools import product
+
 import pytest
 
 from bruteforce import cayley_by_rejection
@@ -223,3 +227,120 @@ def test_indegree_bounded_class():
     assert oracle.count(2, "endofunctions", pred) == 4
     f = (1, 1, 1, 1)  # recurrent node 1 has indegree 4, too many
     assert not pred.matches(f, oracle.classify(f))
+
+
+def _reference_profile(f):
+    """The profile by definition: the recurrent set is the stable set of the
+    iterated image, and each cycle is walked from its least point."""
+    n = len(f)
+    recurrent = set(range(1, n + 1))
+    while True:
+        nxt = {f[u - 1] for u in recurrent}
+        if nxt == recurrent:
+            break
+        recurrent = nxt
+    lengths = []
+    seen = set()
+    for u in sorted(recurrent):
+        if u not in seen:
+            length, v = 0, u
+            while v not in seen:
+                seen.add(v)
+                v = f[v - 1]
+                length += 1
+            lengths.append(length)
+    indeg = [0] * (n + 1)
+    for v in f:
+        indeg[v] += 1
+    image = frozenset(v for v in range(1, n + 1) if indeg[v])
+    return oracle.DigraphProfile(
+        n=n,
+        image=image,
+        recurrent=frozenset(recurrent),
+        cycle_lengths=tuple(sorted(lengths)),
+        fixed_point_count=lengths.count(1),
+        max_indegree_recurrent=max((indeg[v] for v in recurrent), default=0),
+        max_indegree_nonrecurrent=max(
+            (indeg[v] for v in range(1, n + 1) if v not in recurrent), default=0
+        ),
+        is_cayley=image == frozenset(range(1, len(image) + 1)),
+    )
+
+
+def _chain(n):
+    return (1,) + tuple(range(1, n))
+
+
+def _star(n):
+    return (1,) * n
+
+
+def _single_cycle(n):
+    return tuple(range(2, n + 1)) + (1,)
+
+
+def test_classify_matches_reference_on_all_small_maps():
+    for n in range(7):
+        for f in oracle.enumerate_endofunctions(n):
+            assert oracle.classify(f) == _reference_profile(f), f
+
+
+def test_classify_matches_reference_on_random_maps():
+    rng = random.Random(2025)
+    for _ in range(200):
+        n = rng.randint(1, 200)
+        f = tuple(rng.randint(1, n) for _ in range(n))
+        assert oracle.classify(f) == _reference_profile(f), f
+        assert oracle.recurrent_points(f) == _reference_profile(f).recurrent
+
+
+@pytest.mark.parametrize("shape", [_chain, _star, _single_cycle])
+def test_classify_matches_reference_on_extreme_shapes(shape):
+    for n in (1, 2, 3, 10, 100, 1000, 5000):
+        f = shape(n)
+        assert oracle.classify(f) == _reference_profile(f), (shape.__name__, n)
+
+
+def test_classify_long_chain_is_linear():
+    # The stable-image loop took time quadratic in the height of the tree:
+    # a chain of this size cost it about 14 s.
+    f = _chain(20000)
+    start = time.perf_counter()
+    profile = oracle.classify(f)
+    recurrent = oracle.recurrent_points(f)
+    assert time.perf_counter() - start < 1.0
+    assert profile.recurrent == recurrent == {1}
+    assert profile.cycle_lengths == (1,)
+
+
+def _surjective(f):
+    return set(f) == set(range(1, max(f, default=0) + 1))
+
+
+def test_enumerate_cayley_is_the_sorted_filter():
+    for n in range(7):
+        want = sorted(
+            filter(_surjective, product(range(1, n + 1), repeat=n)),
+            key=lambda f: (max(f, default=0), f),
+        )
+        assert list(oracle.enumerate_cayley(n)) == want, n
+
+
+def test_enumerate_cayley_budget_is_checked_at_call_time():
+    calls = []
+    with pytest.raises(oracle.BudgetExceededError):
+        calls.append(oracle.enumerate_cayley(10))
+    assert calls == []
+    # Past the budget the generator is lazy: its first map comes at once.
+    maps = oracle.enumerate_cayley(10, override_budget=True)
+    assert next(maps) == (1,) * 10
+    assert next(maps) == (1,) * 9 + (2,)
+
+
+def test_count_unconstrained_all_does_not_call_matches(monkeypatch):
+    def refuse(self, f, profile):
+        raise AssertionError("matches called")
+
+    monkeypatch.setattr(oracle.ClassPredicate, "matches", refuse)
+    assert oracle.count(6, "cayley", oracle.ClassPredicate("all")) == FUBINI[6]
+    assert oracle.count(4, "endofunctions", oracle.ClassPredicate("all")) == 4**4
