@@ -11,7 +11,7 @@ deterministic, so streamed output is reproducible:
 Default size budgets keep runs at desk scale: n <= 8 for endofunctions
 (8^8 is about 1.7e7) and n <= 9 for Cayley permutations (7,087,261 maps).
 
-Every map is still visited and classified, but each costs little.
+Every map is visited and classified, and each costs little.
 `classify` finds the cycles with one stamped walk per start node, which
 gives the recurrent set, the cycle lengths and the fixed points in one
 linear pass.  `enumerate_cayley` walks an explicit stack of prefixes and

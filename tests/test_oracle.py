@@ -326,12 +326,9 @@ def test_enumerate_cayley_is_the_sorted_filter():
         assert list(oracle.enumerate_cayley(n)) == want, n
 
 
-def test_enumerate_cayley_budget_is_checked_at_call_time():
-    calls = []
+def test_enumerate_cayley_checks_budget_at_call_time_and_is_lazy():
     with pytest.raises(oracle.BudgetExceededError):
-        calls.append(oracle.enumerate_cayley(10))
-    assert calls == []
-    # Past the budget the generator is lazy: its first map comes at once.
+        oracle.enumerate_cayley(10)  # the call raises; nothing is iterated
     maps = oracle.enumerate_cayley(10, override_budget=True)
     assert next(maps) == (1,) * 10
     assert next(maps) == (1,) * 9 + (2,)
