@@ -1,12 +1,25 @@
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import recdig
 from recdig import oracle
 from recdig.cli import main
+
+# The child interpreter imports the package this test imports, whether it
+# came from PYTHONPATH or from pytest's own pythonpath setting.
+CHILD_ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(recdig.__file__).parents[1]),
+                      os.environ.get("PYTHONPATH")])
+    ),
+)
 
 
 def run(argv):
@@ -19,12 +32,14 @@ def test_module_entry_point_subprocess():
     out = subprocess.check_output(
         [sys.executable, "-m", "recdig.cli", "seq", "cayder", "--nmax", "5"],
         text=True,
+        env=CHILD_ENV,
     )
     assert out == "n,count\n0,1\n1,0\n2,1\n3,4\n4,25\n5,184\n"
     rc = subprocess.run(
         [sys.executable, "-m", "recdig.cli", "count", "--n", "9",
          "--model", "endofunctions"],
         capture_output=True,
+        env=CHILD_ENV,
     ).returncode
     assert rc == 3
 
