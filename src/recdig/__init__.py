@@ -9,7 +9,7 @@ enumeration oracle that verifies every number at desk scale.
 """
 
 from recdig.series import CoeffSeq, atom
-from recdig.stirling import build_sdiff_table, r_stirling, sdiff
+from recdig.stirling import r_stirling, sdiff
 from recdig.tables import CoeffTable, compose_table, rooted_tree_table
 
 __version__ = "0.1.0"
@@ -18,7 +18,6 @@ __all__ = [
     "CoeffSeq",
     "CoeffTable",
     "atom",
-    "build_sdiff_table",
     "compose_table",
     "r_stirling",
     "rooted_tree_table",

@@ -306,9 +306,6 @@ def labeled_trees(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
     if n == 1:
         yield ()
         return
-    if n == 2:
-        yield ((1, 2),)
-        return
     for seq in product(range(1, n + 1), repeat=n - 2):
         yield _pruefer_edges(seq, n)
 
@@ -370,12 +367,12 @@ def _childless(skeleton: tuple[int | None, ...]) -> set[int]:
 # -- DOT export ----------------------------------------------------------------
 
 
-def endofunction_dot(f: Endofunction, name: str = "endofunction") -> str:
+def endofunction_dot(f: Endofunction) -> str:
     """The functional digraph in DOT: internal nodes filled, leaves white."""
     f = check_endofunction(f)
     n = len(f)
     image = set(f)
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph endofunction {"]
     for v in range(1, n + 1):
         fill = "black" if v in image else "white"
         font = ", fontcolor=white" if v in image else ""
@@ -388,12 +385,10 @@ def endofunction_dot(f: Endofunction, name: str = "endofunction") -> str:
     return "\n".join(lines) + "\n"
 
 
-def doubly_rooted_tree_dot(
-    t: DoublyRootedTree, filled: set[int] | None = None, name: str = "spine_tree"
-) -> str:
+def doubly_rooted_tree_dot(t: DoublyRootedTree, filled: set[int] | None = None) -> str:
     """The doubly-rooted tree in DOT; tail and head get extra circles."""
     filled = filled or set()
-    lines = [f"graph {name} {{"]
+    lines = ["graph spine_tree {"]
     for v in range(1, t.n + 1):
         fill = "black" if v in filled else "white"
         font = ", fontcolor=white" if v in filled else ""

@@ -36,7 +36,7 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
-SEQ_CLASSES = ("all", "tree", "forest", "connected", "derangement")
+SEQ_CLASSES = tuple(digraphs.CLASS_RECURRENT_ATOMS)
 
 
 def _emit(headers: list[str], rows: list[list], fmt: str, out) -> None:

@@ -207,17 +207,6 @@ class CoeffSeq:
             )
         return CoeffSeq(tuple(g), label=f"log({self.label})", virtual=True)
 
-    # -- serialization -----------------------------------------------------
-
-    def json_dict(self) -> dict:
-        """JSON-safe dict; counts as decimal strings to avoid width loss."""
-        return {
-            "label": self.label,
-            "truncation": self.truncation,
-            "virtual": self.virtual,
-            "counts": [str(c) for c in self.counts],
-        }
-
 
 # -- the atom catalogue ----------------------------------------------------
 

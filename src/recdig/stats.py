@@ -31,6 +31,8 @@ from recdig.stirling import sdiff
 
 EULER_GAMMA = 0.5772156649
 INV_E = "0.3678794412"
+BALLOT_RMAX = 6  # the ballot identities are checked for r = 1..BALLOT_RMAX
+RATIO_DIGITS = 10  # fractional digits of every decimal rendering
 
 
 def ordinal_product(a: CoeffSeq, b: CoeffSeq) -> CoeffSeq:
@@ -133,9 +135,7 @@ def _ballot_powers(nmax: int, rmax: int):
     return mixed, square
 
 
-def identity_checks(
-    rec: CoeffSeq, nmax: int, rmax: int = 6
-) -> list[IdentityCheck]:
+def identity_checks(rec: CoeffSeq, nmax: int) -> list[IdentityCheck]:
     """Evaluate the order-sum identities as exact integer comparisons.
 
     Four families, all multiplied through so no division ever happens:
@@ -150,10 +150,10 @@ def identity_checks(
     if rec.truncation < nmax:
         raise ShapeError("recurrent sequence shorter than requested range")
     checks: list[IdentityCheck] = []
-    big_r = max(rmax, nmax)
+    big_r = max(BALLOT_RMAX, nmax)
     mixed, square = _ballot_powers(nmax, big_r)
 
-    for r in range(1, rmax + 1):
+    for r in range(1, BALLOT_RMAX + 1):
         for n in range(nmax + 1):
             lhs = sum(
                 factorial(i) * sdiff(n + r + 1, i, r)
@@ -163,7 +163,7 @@ def identity_checks(
             checks.append(IdentityCheck("ballot_block_sum", (r, n), lhs, rhs))
 
     one = atom("1", nmax)
-    for r in range(1, rmax + 1):
+    for r in range(1, BALLOT_RMAX + 1):
         lhs_seq = mixed[r].integral()
         rhs_seq = square[r] - one
         for n in range(nmax + 1):
@@ -226,7 +226,7 @@ class AsymptoticsRow:
     reference: str
 
 
-def decimal_string(num: int, den: int, digits: int = 10) -> str:
+def decimal_string(num: int, den: int) -> str:
     """Decimal rendering of num/den by integer long division."""
     if den == 0:
         raise ZeroDivisionError("ratio with zero denominator")
@@ -234,7 +234,7 @@ def decimal_string(num: int, den: int, digits: int = 10) -> str:
     num, den = abs(num), abs(den)
     whole, rem = divmod(num, den)
     frac_digits = []
-    for _ in range(digits):
+    for _ in range(RATIO_DIGITS):
         rem *= 10
         d, rem = divmod(rem, den)
         frac_digits.append(str(d))

@@ -3,7 +3,9 @@
 Everything here is exact integer arithmetic.  The difference numbers
 sdiff(n, m, r) count set partitions of [n] into m blocks where r is the
 largest prefix length such that 1, ..., r land in pairwise distinct blocks.
-They are the inner kernel of every counting formula in the digraphs module.
+Summed against a recurrent sequence they give the closed form, which
+checks the counts that `digraphs.count_sequence` serves; only `table
+sdiff` and `check identities` print values computed here.
 """
 
 from __future__ import annotations
@@ -51,17 +53,12 @@ def sdiff(n: int, m: int, r: int) -> int:
     return m * sdiff(n - 1, m, r) + sdiff(n - 1, m - 1, r)
 
 
-def stirling2(n: int, m: int) -> int:
-    """Classic Stirling number of the second kind."""
-    return r_stirling(n, m, 0)
-
-
 def iter_sdiff_levels(nmax: int) -> Iterator[tuple[int, tuple[tuple[int, ...], ...]]]:
     """Yield (n, level) for n = 0..nmax where level[m][r] = sdiff(n, m, r).
 
     Builds each level from the previous one only, so memory stays O(n^2).
-    Intended for sweeps over large n (e.g. the asymptotics report) where
-    caching the whole cube would be wasteful.
+    No command sweeps levels any more; this stays because the benchmark's
+    `stirling.levels_s` probe (bench/probes.py) times it.
     """
     prev: list[list[int]] | None = None
     for n in range(nmax + 1):
@@ -80,34 +77,3 @@ def iter_sdiff_levels(nmax: int) -> Iterator[tuple[int, tuple[tuple[int, ...], .
                 level[m][r] = acc
         yield n, tuple(tuple(row) for row in level)
         prev = level
-
-
-class SdiffTable:
-    """Immutable cube of sdiff values for all 0 <= n, m, r <= nmax."""
-
-    __slots__ = ("nmax", "_levels")
-
-    def __init__(self, nmax: int, levels: tuple[tuple[tuple[int, ...], ...], ...]):
-        self.nmax = nmax
-        self._levels = levels
-
-    def __getitem__(self, key: tuple[int, int, int]) -> int:
-        n, m, r = key
-        if n < 0 or m < 0 or r < 0:
-            return 0
-        if n > self.nmax:
-            raise IndexError(f"n={n} beyond table bound {self.nmax}")
-        if m > n or r > n:
-            return 0
-        return self._levels[n][m][r]
-
-    def __repr__(self) -> str:
-        return f"SdiffTable(nmax={self.nmax})"
-
-
-def build_sdiff_table(nmax: int) -> SdiffTable:
-    """Build the full sdiff cube bottom-up."""
-    if nmax < 0:
-        raise ValueError("nmax must be nonnegative")
-    levels = tuple(level for _, level in iter_sdiff_levels(nmax))
-    return SdiffTable(nmax, levels)

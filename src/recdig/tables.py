@@ -60,11 +60,6 @@ class CoeffTable:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, nmax: int, label: str = "0") -> "CoeffTable":
-        rows = tuple(tuple(0 for _ in range(nmax + 1 - i)) for i in range(nmax + 1))
-        return cls(rows, label=label)
-
-    @classmethod
     def from_seq_x(cls, seq: CoeffSeq) -> "CoeffTable":
         """Embed a unisort class: all labels of sort X, none of sort Y."""
         n = seq.truncation
@@ -73,16 +68,6 @@ class CoeffTable:
             for i in range(n + 1)
         )
         return cls(rows, label=seq.label, virtual=seq.virtual)
-
-    @classmethod
-    def from_seq_y(cls, seq: CoeffSeq) -> "CoeffTable":
-        """Embed a unisort class on sort Y."""
-        n = seq.truncation
-        rows = tuple(
-            tuple(seq.counts[j] if i == 0 else 0 for j in range(n + 1 - i))
-            for i in range(n + 1)
-        )
-        return cls(rows, label=f"{seq.label}(Y)", virtual=seq.virtual)
 
     @classmethod
     def x_singleton(cls, nmax: int) -> "CoeffTable":
@@ -184,13 +169,6 @@ class CoeffTable:
         )
         return CoeffTable(rows, label=f"{self.label}^.X", virtual=self.virtual)
 
-    def pointing_y(self) -> "CoeffTable":
-        """Distinguish a Y label: c[i][j] = j * a[i][j]."""
-        rows = tuple(
-            tuple(j * c for j, c in enumerate(row)) for row in self.rows
-        )
-        return CoeffTable(rows, label=f"{self.label}^.Y", virtual=self.virtual)
-
     def truncate(self, n: int) -> "CoeffTable":
         if n < 0 or n > self.truncation:
             raise ShapeError(f"cannot truncate table at {n}")
@@ -220,14 +198,6 @@ class CoeffTable:
         """
         counts = merge_sorts(self.rows, self.truncation, identify=False)
         return CoeffSeq(counts, label=f"{self.label}^", virtual=self.virtual)
-
-    def json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "truncation": self.truncation,
-            "virtual": self.virtual,
-            "rows": [[str(c) for c in row] for row in self.rows],
-        }
 
 
 def merge_sorts(

@@ -202,7 +202,7 @@ def test_criterion_06_bijection_round_trips():
 def test_criterion_07_order_sum_identities():
     t0 = time.time()
     for label in ("S", "Der"):
-        checks = stats.identity_checks(atom(label, 9), 9, rmax=6)
+        checks = stats.identity_checks(atom(label, 9), 9)
         names = {c.identity for c in checks}
         assert names == {
             "ballot_block_sum",

@@ -71,6 +71,7 @@ def test_empty_map_has_no_tree():
 def test_doubly_rooted_tree_counts():
     for n in range(1, 8):
         assert sum(1 for _ in labeled_trees(n)) == max(1, n ** (n - 2))
+    assert list(labeled_trees(2)) == [((1, 2),)]
     for n in range(1, 6):
         assert sum(1 for _ in doubly_rooted_trees(n)) == n**n
 

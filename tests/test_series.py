@@ -189,9 +189,3 @@ def test_restrict_truncate():
 def test_equality_ignores_metadata():
     assert CoeffSeq((1, 2, 3), label="a") == CoeffSeq((1, 2, 3), label="b")
     assert CoeffSeq((0, 1), virtual=True) == CoeffSeq((0, 1))
-
-
-def test_json_dict_uses_decimal_strings():
-    d = atom("Bal", 3).json_dict()
-    assert d["counts"] == ["1", "1", "3", "13"]
-    assert d["truncation"] == 3

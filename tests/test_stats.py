@@ -176,7 +176,7 @@ def test_identity_checks_all_pass():
 
 
 def test_doubled_integral_identity_to_n10():
-    checks = identity_checks(atom("S", 10), 10, rmax=6)
+    checks = identity_checks(atom("S", 10), 10)
     doubled = [c for c in checks if c.identity == "ballot_integral_doubled"]
     assert {c.index for c in doubled} == {
         (r, n) for r in range(1, 7) for n in range(11)
@@ -223,7 +223,7 @@ def test_identity_failures_are_reported_not_raised():
 
 def test_decimal_string():
     assert decimal_string(1, 3) == "0.3333333333"
-    assert decimal_string(22, 7, digits=4) == "3.1428"
+    assert decimal_string(22, 7) == "3.1428571428"
     assert decimal_string(-1, 2) == "-0.5000000000"
     assert decimal_string(0, 5) == "0.0000000000"
     with pytest.raises(ZeroDivisionError):

@@ -1,14 +1,7 @@
 import pytest
 
-from bruteforce import r_stirling_brute, sdiff_histogram
-from recdig.stirling import (
-    SdiffTable,
-    build_sdiff_table,
-    iter_sdiff_levels,
-    r_stirling,
-    sdiff,
-    stirling2,
-)
+from bruteforce import r_stirling_brute, sdiff_histogram, set_partitions
+from recdig.stirling import iter_sdiff_levels, r_stirling, sdiff
 
 # The four printed golden triangles: TRIANGLES[r][n - 1][m - 1].
 TRIANGLES = {
@@ -78,11 +71,20 @@ def test_initial_conditions():
         assert sdiff(n, n, n - 1) == 0 or n == 0
 
 
+def classic_stirling2(n):
+    """Classic Stirling numbers S(n, m), m = 0..n, by counting partitions."""
+    row = [0] * (n + 1)
+    for blocks in set_partitions(n):
+        row[len(blocks)] += 1
+    return row
+
+
 def test_r_stirling_matches_classic():
     # Distinctness of 1..r is vacuous for r <= 1.
     for n in range(1, 10):
+        classic = classic_stirling2(n)
         for m in range(n + 1):
-            assert r_stirling(n, m, 0) == r_stirling(n, m, 1) == stirling2(n, m)
+            assert r_stirling(n, m, 0) == r_stirling(n, m, 1) == classic[m]
 
 
 def test_r_stirling_brute_force():
@@ -115,8 +117,9 @@ def test_sdiff_brute_force_histogram():
 
 def test_row_sums_telescope_to_stirling2():
     for n in range(11):
+        classic = classic_stirling2(n)
         for m in range(n + 1):
-            assert sum(sdiff(n, m, r) for r in range(n + 1)) == stirling2(n, m)
+            assert sum(sdiff(n, m, r) for r in range(n + 1)) == classic[m]
 
 
 def test_zero_regions():
@@ -127,27 +130,8 @@ def test_zero_regions():
                     assert sdiff(n, m, r) == 0
 
 
-def test_table_matches_function():
-    table = build_sdiff_table(9)
-    assert isinstance(table, SdiffTable)
-    for n in range(10):
-        for m in range(10):
-            for r in range(10):
-                if m <= n and r <= n:
-                    assert table[n, m, r] == sdiff(n, m, r)
-                elif n <= 9:
-                    assert table[n, m, r] == 0
-    with pytest.raises(IndexError):
-        table[10, 0, 0]
-
-
 def test_iter_levels_streams_the_same_values():
-    for n, level in iter_sdiff_levels(8):
+    for n, level in iter_sdiff_levels(9):
         for m in range(n + 1):
             for r in range(n + 1):
                 assert level[m][r] == sdiff(n, m, r)
-
-
-def test_build_rejects_negative():
-    with pytest.raises(ValueError):
-        build_sdiff_table(-1)
