@@ -25,10 +25,11 @@ Every division in the closed formulas is exact; each one is asserted.
 
 from __future__ import annotations
 
-from math import comb, factorial, perm
+from math import factorial, perm
+from operator import mul
 from typing import Iterator
 
-from recdig.series import CoeffSeq, ShapeError, atom
+from recdig.series import CoeffSeq, ShapeError, atom, pascal_rows
 from recdig.stirling import sdiff
 from recdig.tables import CoeffTable, merge_sorts, solve_tree_equation
 
@@ -203,20 +204,29 @@ def digraph_table_with_branches(
 
     with c[i][0] = R[i].  For T = linear orders this reproduces
     digraph_table exactly.
+
+    The table is kept as columns and filled row by row.  Row i prepares
+    its weights binom(i, k) * T[k] * (i - k), k = i-1..0, once from a
+    Pascal row; then each c[i][j+1] is one dot product of them with
+    c[1..i][j], the top of column j.  Beside the table only one row's
+    weights are held.
     """
     _need_truncation(rec, nmax, "digraph_table_with_branches")
     _need_truncation(branch, nmax, "digraph_table_with_branches")
     t = branch.counts
-    rows = [[0] * (nmax + 1 - i) for i in range(nmax + 1)]
-    for i in range(nmax + 1):
-        rows[i][0] = rec.counts[i]
-    for j in range(nmax):
-        for i in range(1, nmax + 1 - (j + 1)):
-            rows[i][j + 1] = sum(
-                comb(i, k) * t[k] * (i - k) * rows[i - k][j] for k in range(i)
-            )
+    cols = [[] for _ in range(nmax + 1)]
+    for i, binom in enumerate(pascal_rows(nmax)):
+        weights = [bm * t[i - m] * m for m, bm in enumerate(binom[1:], 1)]
+        cell = rec.counts[i]
+        for col in cols[: nmax - i]:
+            col.append(cell)
+            cell = sum(map(mul, weights, col[1:]))
+        cols[nmax - i].append(cell)
+    rows = tuple(
+        tuple(col[i] for col in cols[: nmax + 1 - i]) for i in range(nmax + 1)
+    )
     return CoeffTable(
-        tuple(tuple(row) for row in rows),
+        rows,
         label=f"recdig[{rec.label};{branch.label}]",
         virtual=rec.virtual or branch.virtual,
     )

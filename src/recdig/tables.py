@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
-from math import comb
+from math import comb, gcd
 from operator import add, mul
 from typing import Iterable, Sequence
 
@@ -58,16 +58,6 @@ class CoeffTable:
                 yield i, j, c
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_seq_x(cls, seq: CoeffSeq) -> "CoeffTable":
-        """Embed a unisort class: all labels of sort X, none of sort Y."""
-        n = seq.truncation
-        rows = tuple(
-            tuple(seq.counts[i] if j == 0 else 0 for j in range(n + 1 - i))
-            for i in range(n + 1)
-        )
-        return cls(rows, label=seq.label, virtual=seq.virtual)
 
     @classmethod
     def x_singleton(cls, nmax: int) -> "CoeffTable":
@@ -248,25 +238,111 @@ def _compose_cell(g, prev, binom, i: int, j: int) -> int:
     return s
 
 
-def _derivative_tables(f: Sequence[int]) -> list[list[list[int]]]:
-    """Empty arrays u_0..u_N for F^(m) o G: u_m is a triangle of truncation
-    N - m whose only known cell is u_m[0][0] = F[m]."""
+def _product_cell(g, z, binom, i: int, j: int) -> int:
+    """Cell (i, j) of the labeled product G * Z, reading Z below degree
+    i + j only (G[0][0] is 0)."""
+    s = 0
+    bj = binom[j]
+    for p, bp in enumerate(binom[i]):
+        gp, zp = g[p], z[i - p]
+        for q in range(j + 1):
+            gv = gp[q]
+            if gv:
+                s += bp * bj[q] * gv * zp[j - q]
+    return s
+
+
+def _cancel(row: list[int], pivot: list[int], col: int) -> list[int]:
+    """row with its column-col entry eliminated against pivot, in integers
+    reduced by their common divisor."""
+    if not row[col]:
+        return row
+    new = [pivot[col] * x - row[col] * y for x, y in zip(row, pivot)]
+    g = gcd(*new)
+    return [x // g for x in new] if g else new
+
+
+def _first_order_tail(s: Sequence[int]) -> tuple[int, int, int] | None:
+    """Integers (a, b, c) with s[k+1] = (a*k + b)*s[k] + c*k*s[k-1] for
+    every k, that is (1 - a*x) * F' = (b + c*x) * F for the EGF F of s;
+    None if there are none.
+
+    Fraction-free Gauss-Jordan elimination over the equations, one per k;
+    an unknown they leave free is taken as 0.
+    """
+    pivots: dict[int, list[int]] = {}
+    for k in range(len(s) - 1):
+        row = [k * s[k], s[k], k * s[k - 1] if k else 0, s[k + 1]]
+        for col, pivot in pivots.items():
+            row = _cancel(row, pivot, col)
+        col = next((c for c in range(3) if row[c]), None)
+        if col is None:
+            if row[3]:
+                return None
+            continue
+        for pc, pivot in pivots.items():
+            pivots[pc] = _cancel(pivot, row, col)
+        pivots[col] = row
+    abc = [0, 0, 0]
+    for col, row in pivots.items():
+        abc[col], rem = divmod(row[3], row[col])
+        if rem:
+            return None
+    return tuple(abc)
+
+
+def _derivative_tables(f: Sequence[int]):
+    """Empty arrays for F^(m) o G, m = 0..m0 + 1, and the tail (a, b, c, z).
+
+    F^(m0) is the first derivative whose counts end the chain with a
+    first-order equation (1 - a*x) * F^(m0+1) = (b + c*x) * F^(m0)
+    (see _first_order_tail); every count sequence has one at the latest
+    where it is too short to contradict one.  Array m has truncation
+    N - m and its only known cell is [0][0] = F[m].  Composed with G the
+    equation reads w = b*v + G * z with v = F^(m0) o G, w = F^(m0+1) o G
+    and z = a*w + c*v, the last array kept beside the chain.
+    """
+    if not f:
+        return [], None
     big = len(f) - 1
+    m0 = 0
+    while (abc := _first_order_tail(f[m0:])) is None:
+        m0 += 1
     us = []
-    for m, fm in enumerate(f):
+    for m in range(m0 + 2):
         size = big - m
         u = [[0] * (size + 1 - i) for i in range(size + 1)]
-        u[0][0] = fm
+        if u:
+            u[0][0] = f[m]
         us.append(u)
-    return us
+    a, b, c = abc
+    z = [[0] * len(row) for row in us[-1]]
+    if z:
+        z[0][0] = a * f[m0 + 1] + c * f[m0]
+    return us, (a, b, c, z)
 
 
-def _fill_degree(us, g, binom, d: int) -> None:
-    """Fill degree d of every u_m that reaches it (m <= N - d)."""
-    for m in range(len(us) - d):
-        cur, prev = us[m], us[m + 1]
+def _fill_degree(us, tail, g, binom, d: int) -> None:
+    """Fill degree d of every array that reaches it.
+
+    Array m is filled from array m + 1 below degree d (_compose_cell), the
+    last one, w, from the tail equation w = b*v + G * z, which reads v at
+    degree d and z below it; so the chain goes first.
+    """
+    for cur, prev in zip(us, us[1:]):
+        if len(cur) > d:
+            for i in range(d + 1):
+                cur[i][d - i] = _compose_cell(g, prev, binom, i, d - i)
+    a, b, c, z = tail
+    v, w = us[-2], us[-1]
+    if len(w) > d:
         for i in range(d + 1):
-            cur[i][d - i] = _compose_cell(g, prev, binom, i, d - i)
+            j = d - i
+            cell = b * v[i][j]
+            if a or c:
+                cell += _product_cell(g, z, binom, i, j)
+            w[i][j] = cell
+            z[i][j] = a * cell + c * v[i][j]
 
 
 def compose_table(outer: CoeffSeq, inner: CoeffTable) -> CoeffTable:
@@ -275,8 +351,17 @@ def compose_table(outer: CoeffSeq, inner: CoeffTable) -> CoeffTable:
     Works like CoeffSeq.compose but in two variables: with u_m the table of
     F^(m) composed with G, the partial derivative identities
     dX(F o G) = dX(G) * (F' o G) and dY(F o G) = dY(G) * (F' o G) fill
-    every u_m degree by degree (entries with i >= 1 from the X identity,
-    the remaining i = 0 column from the Y identity); u_0 is the result.
+    every u_m degree by degree from u_{m+1} (entries with i >= 1 from the X
+    identity, the remaining i = 0 column from the Y identity); u_0 is the
+    result.
+
+    The chain stops at the first derivative F^(m0) with a first-order
+    equation (1 - a*x) * F^(m0+1) = (b + c*x) * F^(m0), found from the
+    counts: u_{m0+1} = b*u_{m0} + G * (a*u_{m0+1} + c*u_{m0}) then needs
+    no further array.  E, S, L and Der have m0 = 0, C, S+ and L+ m0 = 1,
+    and a polynomial at most its degree, so the cost is O((m0 + 2) * N^4)
+    big-integer products.  Ballots and set partitions have no such
+    equation and keep the whole chain, O(N^5).
     """
     if outer.truncation != inner.truncation:
         raise ShapeError(
@@ -288,9 +373,9 @@ def compose_table(outer: CoeffSeq, inner: CoeffTable) -> CoeffTable:
         raise CompositionDomainError("inner class has structures on the empty set")
     big = outer.truncation
     binom = list(pascal_rows(big))
-    us = _derivative_tables(outer.counts)
+    us, tail = _derivative_tables(outer.counts)
     for d in range(1, big + 1):
-        _fill_degree(us, g, binom, d)
+        _fill_degree(us, tail, g, binom, d)
 
     return CoeffTable(
         tuple(tuple(row) for row in us[0]),
@@ -313,15 +398,18 @@ def solve_tree_equation(branching: CoeffSeq, nmax: int) -> CoeffTable:
     degree d of T is X times degree d - 1 of u_0, the shift
     T[i][j] = i * u_0[i-1][j]; that fixes degree d of G, and then degree d
     of every u_m, which reads G up to degree d and u_{m+1} below it.  The
-    cost is that of one composition.  One exact residual check,
-    X * B(T - X + Y) == T through compose_table, guards the result.
+    chain ends in the first-order tail of compose_table, whose every cell
+    also reads lower degrees only (G[0][0] is 0), so the solve stays online
+    and costs one composition, O((m0 + 2) * nmax^4): m0 = 0 for the sets of
+    rooted trees, k - 1 for trees of arity at most k.  One exact residual
+    check, X * B(T - X + Y) == T through compose_table, guards the result.
     """
     if branching.truncation < nmax:
         raise ShapeError("branching sequence shorter than requested truncation")
     b = branching.truncate(nmax)
     binom = list(pascal_rows(nmax))
     # T up to degree nmax reads u_0 below it, so u_m stops at nmax - 1 - m.
-    us = _derivative_tables(b.counts[:nmax])
+    us, tail = _derivative_tables(b.counts[:nmax])
     t = [[0] * (nmax + 1 - i) for i in range(nmax + 1)]
     g = [[0] * (nmax + 1 - i) for i in range(nmax + 1)]
     for d in range(1, nmax + 1):
@@ -331,7 +419,7 @@ def solve_tree_equation(branching: CoeffSeq, nmax: int) -> CoeffTable:
             g[1][0] -= 1
             g[0][1] = 1
         if d < nmax:
-            _fill_degree(us, g, binom, d)
+            _fill_degree(us, tail, g, binom, d)
 
     tree = CoeffTable(
         tuple(tuple(row) for row in t), label=f"tree[{branching.label}]"

@@ -149,8 +149,8 @@ def test_formula_matches_composition_route():
                 assert composed[i, j] == digraph_count(i, j, rec), (label, i, j)
 
 
-def test_composition_route_matches_recursion_to_30():
-    n = 30
+def test_composition_route_matches_recursion_to_60():
+    n = 60
     trees = rooted_tree_table(n)
     for label in CLASS_RECURRENT_ATOMS.values():
         rec = atom(label, n)
@@ -250,6 +250,37 @@ def test_branch_table_reproduces_linear_branches():
         )
 
 
+def _branch_table_by_triple_loop(rec, branch, nmax):
+    """c[i][j+1] = sum_k binom(i, k) * T[k] * (i - k) * c[i-k][j], one
+    binomial per term, read across the rows."""
+    from math import comb
+
+    t = branch.counts
+    rows = [[0] * (nmax + 1 - i) for i in range(nmax + 1)]
+    for i in range(nmax + 1):
+        rows[i][0] = rec.counts[i]
+    for j in range(nmax):
+        for i in range(1, nmax + 1 - (j + 1)):
+            rows[i][j + 1] = sum(
+                comb(i, k) * t[k] * (i - k) * rows[i - k][j] for k in range(i)
+            )
+    return tuple(tuple(row) for row in rows)
+
+
+def test_branch_table_matches_triple_loop():
+    n = 25
+    for rec_label in ("S", "Der"):
+        rec = atom(rec_label, n)
+        for label in ("L", "E", "C", "Der", "X", "1"):
+            branch = atom(label, n)
+            assert digraph_table_with_branches(
+                rec, branch, n
+            ).rows == _branch_table_by_triple_loop(rec, branch, n), (
+                rec_label,
+                label,
+            )
+
+
 def test_single_leaf_branches_are_idempotents():
     table = digraph_table_with_branches(atom("E", 6), atom("1", 6), 6)
     assert table.identify_sorts().counts == (1, 1, 3, 10, 41, 196, 1057)
@@ -264,7 +295,7 @@ def test_single_leaf_branches_are_idempotents():
 
 def test_single_leaf_branch_table_is_a_composition():
     # E(X * E(Y)): sets of internal nodes, each with a set of leaves.
-    x = CoeffTable.from_seq_x(atom("X", 6))
+    x = CoeffTable.x_singleton(6)
     leaves = compose_table(atom("E", 6), CoeffTable.y_singleton(6))
     assert compose_table(atom("E", 6), x * leaves).rows == (
         digraph_table_with_branches(atom("E", 6), atom("1", 6), 6).rows

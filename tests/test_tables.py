@@ -1,10 +1,18 @@
+import random
 from math import comb
 
 import pytest
 
 from recdig import oracle, tables
 from recdig.digraphs import digraph_table
-from recdig.series import CompositionDomainError, ShapeError, atom
+from recdig.series import (
+    ATOM_NAMES,
+    PARAMETRIC_ATOMS,
+    CoeffSeq,
+    CompositionDomainError,
+    ShapeError,
+    atom,
+)
 from recdig.tables import (
     CoeffTable,
     compose_table,
@@ -21,9 +29,17 @@ def test_shape_validation():
     CoeffTable(((0, -1), (0,)), virtual=True)
 
 
+def _x_only(seq):
+    """A unisort class as a table whose labels are all of sort X."""
+    n = seq.truncation
+    return CoeffTable(
+        tuple((c,) + (0,) * (n - i) for i, c in enumerate(seq.counts))
+    )
+
+
 def test_embeddings():
     s = atom("S", 3)
-    tx = CoeffTable.from_seq_x(s)
+    tx = _x_only(s)
     assert [tx[i, 0] for i in range(4)] == [1, 1, 2, 6]
     assert tx[0, 2] == 0
     assert CoeffTable.x_singleton(3)[1, 0] == 1
@@ -141,9 +157,106 @@ def test_partial_y_of_trees_is_nonempty_perms_of_trees():
 def test_compose_identity_and_domain():
     a = rooted_tree_table(4)
     assert compose_table(atom("X", 4), a).rows == a.rows
-    bad = CoeffTable.from_seq_x(atom("E", 3))
+    bad = _x_only(atom("E", 3))
     with pytest.raises(CompositionDomainError):
         compose_table(atom("E", 3), bad)
+
+
+def _compose_by_powers(outer, inner):
+    """F o G as sum_k F[k] * P_k with P_0 = 1 and P_k = (P_{k-1} * G) / k,
+    built from the table product alone; every division is checked exact."""
+    n = inner.truncation
+    zero = tuple((0,) * (n + 1 - i) for i in range(n + 1))
+    power = CoeffTable(((1,) + zero[0][1:],) + zero[1:])
+    total = [list(row) for row in zero]
+    for k, fk in enumerate(outer.counts):
+        if k:
+            rows = []
+            for row in (power * inner).rows:
+                for c in row:
+                    assert c % k == 0, (k, c)
+                rows.append(tuple(c // k for c in row))
+            power = CoeffTable(tuple(rows), virtual=True)
+        for out, row in zip(total, power.rows):
+            out[:] = [t + fk * c for t, c in zip(out, row)]
+    return tuple(tuple(row) for row in total)
+
+
+def _random_outers(rng, n):
+    """Virtual outers of three shapes: first order from index m0 on (after
+    a random prefix), a random polynomial, and random counts."""
+    outers = []
+    for _ in range(4):
+        a, b, c = (rng.randint(-3, 3) for _ in range(3))
+        s = [rng.randint(-5, 5) or 1]
+        for k in range(n):
+            s.append((a * k + b) * s[k] + c * k * (s[k - 1] if k else 0))
+        prefix = [rng.randint(-9, 9) for _ in range(rng.randint(0, 2))]
+        outers.append((prefix + s)[: n + 1])
+        degree = rng.randint(0, n)
+        outers.append(
+            [rng.randint(-9, 9) if k <= degree else 0 for k in range(n + 1)]
+        )
+        outers.append([rng.randint(-(10**6), 10**6) for _ in range(n + 1)])
+    return [CoeffSeq(tuple(f), virtual=True) for f in outers]
+
+
+def _named_outers(n):
+    outers = [
+        atom(name, n) for name in ATOM_NAMES if name not in PARAMETRIC_ATOMS
+    ]
+    outers += [atom("E_r", n, r) for r in (0, 2, 5)]
+    outers += [atom("S_r", n, r) for r in (0, 3)]
+    outers += [atom("C_i", n, i) for i in (1, 4)]
+    return outers
+
+
+def test_compose_matches_sum_of_divided_powers():
+    rng = random.Random(2024)
+    for n in (3, 8):
+        inner_random = CoeffTable(
+            ((0,) + tuple(rng.randint(-50, 50) for _ in range(n)),)
+            + tuple(
+                tuple(rng.randint(-50, 50) for _ in range(n + 1 - i))
+                for i in range(1, n + 1)
+            ),
+            virtual=True,
+        )
+        for inner in (rooted_tree_table(n), inner_random):
+            for outer in _named_outers(n) + _random_outers(rng, n):
+                assert compose_table(outer, inner).rows == _compose_by_powers(
+                    outer, inner
+                ), (n, outer.label, outer.counts)
+
+
+# (m0, (a, b, c)): F^(m0) is the first derivative with
+# (1 - a*x) * F^(m0+1) = (b + c*x) * F^(m0).
+FIRST_ORDER_TAILS = {
+    "1": (0, (0, 0, 0)),
+    "X": (1, (0, 0, 0)),
+    "E": (0, (0, 1, 0)),
+    "L": (0, (1, 1, 0)),
+    "S": (0, (1, 1, 0)),
+    "Der": (0, (1, 0, 1)),
+    "C": (1, (1, 1, 0)),
+    "S+": (1, (1, 2, 0)),
+    "L+": (1, (1, 2, 0)),
+}
+
+
+def test_composition_chain_ends_in_first_order_tail():
+    n = 30
+    for name in ATOM_NAMES:
+        if name in PARAMETRIC_ATOMS:
+            continue
+        us, tail = tables._derivative_tables(atom(name, n).counts)
+        # Ballots and set partitions have no tail: the chain runs to F^(N).
+        m0, abc = FIRST_ORDER_TAILS.get(name, (n, (0, 0, 0)))
+        assert (len(us) - 2, tail[:3]) == (m0, abc), name
+    for name, params in (("E_r", (0, 2, 5)), ("S_r", (0, 3)), ("C_i", (1, 4))):
+        for r in params:
+            us, tail = tables._derivative_tables(atom(name, n, r).counts)
+            assert (len(us) - 2, tail[:3]) == (r, (0, 0, 0)), (name, r)
 
 
 def test_compose_forests_diagonal():
@@ -177,7 +290,7 @@ def test_identify_and_concat_sorts():
     assert psi.identify_sorts().counts == tuple(k**k for k in range(n + 1))
     assert psi.concat_sorts().counts == (1, 1, 3, 13, 75, 541)
     s = atom("Bal", 4)
-    assert CoeffTable.from_seq_x(s).concat_sorts().counts == s.counts
+    assert _x_only(s).concat_sorts().counts == s.counts
 
 
 def test_merges_match_per_cell_binomials():
