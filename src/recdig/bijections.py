@@ -1,6 +1,8 @@
 """Executable spine bijections between trees and functional digraphs.
 
-The unisort pair maps doubly-rooted labeled trees to endofunctions and
+Every tree here is a parent map: entry v - 1 is the neighbor of v toward
+the root, None at the root.  The unisort pair maps doubly-rooted labeled
+trees (rooted at the head, with a distinguished tail) to endofunctions and
 back: the path between the two distinguished nodes (the spine, read from
 tail to head) is reinterpreted as a permutation of its own sorted label
 set by the rank rule g(u_t) = w_t, where u_1 < ... < u_s are the spine
@@ -10,7 +12,8 @@ is left untouched.
 The two-sort pair does the same between rooted trees carrying one extra
 distinguished leaf and permutations of rooted trees: the spine runs from
 the extra leaf (excluded) up to the root, and cutting it turns each spine
-node into the root of its own tree.
+node into the root of its own tree.  Both pairs share one spine cut and
+one spine link, so each round trip is linear up to sorting the spine.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from recdig.oracle import Endofunction, check_endofunction, recurrent_points
 
@@ -32,59 +35,85 @@ class StructureError(ValueError):
 
 @dataclass(frozen=True)
 class DoublyRootedTree:
-    """A labeled tree on [n] with an ordered pair of distinguished nodes."""
+    """A labeled tree on [n] with an ordered pair of distinguished nodes.
 
-    n: int
-    edges: tuple[tuple[int, int], ...]  # canonical: (min, max) pairs, sorted
+    parent[v - 1] is the neighbor of v toward the head, None at the head.
+    """
+
+    parent: tuple[int | None, ...]
     tail: int
-    head: int
 
     def __post_init__(self):
-        n = self.n
-        if n < 1:
-            raise StructureError("a doubly-rooted tree needs at least one node")
-        if not (1 <= self.tail <= n and 1 <= self.head <= n):
-            raise StructureError("tail and head must be nodes of the tree")
-        if len(self.edges) != n - 1:
-            raise StructureError(f"a tree on {n} nodes has {n - 1} edges")
-        adj = _adjacency(n, self.edges)
-        # One scan: canonical means a < b in every pair, pairs increasing.
-        prev = (0, 0)
-        for a, b in self.edges:
-            if not (a < b and prev < (a, b)):
-                raise StructureError("edges must be sorted (min, max) pairs")
-            prev = a, b
-        # n - 1 edges and connectivity together force acyclicity.
-        if -1 in _parents(adj, 1)[1:]:
-            raise StructureError("tree is not connected")
+        _roots(self.parent, single_root=True)
+        if not 1 <= self.tail <= len(self.parent):
+            raise StructureError("the tail must be a node of the tree")
+
+    @property
+    def n(self) -> int:
+        return len(self.parent)
+
+    @property
+    def head(self) -> int:
+        return self.parent.index(None) + 1
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The tree's edges as sorted (min, max) pairs."""
+        return tuple(sorted(
+            (min(v, p), max(v, p))
+            for v, p in enumerate(self.parent, 1) if p is not None
+        ))
 
 
-def _adjacency(n: int, edges) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(n + 1)]
-    for a, b in edges:
-        if not (1 <= a <= n and 1 <= b <= n):
-            raise StructureError(f"edge ({a}, {b}) outside [1..{n}]")
-        adj[a].append(b)
-        adj[b].append(a)
-    return adj
+def _roots(parent: tuple[int | None, ...], single_root: bool) -> list[int]:
+    """Check that a parent map on [n] is a forest; return its roots in order.
 
-
-def _parents(adj: list[list[int]], source: int) -> list[int]:
-    """Depth-first search from source over the adjacency lists.
-
-    Entry v is the node from which v was reached: 0 for the source, -1 for
-    a node the search did not reach (and for the unused index 0).
+    Climb from every node until a root or a node stamped by an earlier
+    climb, which is known to reach a root; meeting the climb's own stamp
+    means a cycle.  Each node is climbed through once.
     """
-    parent = [-1] * len(adj)
-    parent[source] = 0
-    stack = [source]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if parent[v] < 0:
-                parent[v] = u
-                stack.append(v)
-    return parent
+    n = len(parent)
+    roots = [v for v, p in enumerate(parent, 1) if p is None]
+    if not roots:
+        raise StructureError("no root")
+    if single_root and len(roots) != 1:
+        raise StructureError("expected exactly one root")
+    for p in parent:
+        if p is not None and not 1 <= p <= n:
+            raise StructureError(f"parent {p} outside [1..{n}]")
+    stamp = [0] * (n + 1)
+    for x in range(1, n + 1):
+        v: int | None = x
+        while v is not None and not stamp[v]:
+            stamp[v] = x
+            v = parent[v - 1]
+        if v is not None and stamp[v] == x:
+            raise StructureError("parent map has a cycle")
+    return roots
+
+
+def _spine(parent: Sequence[int | None], start: int) -> tuple[list, list]:
+    """Cut the path from start to the root open and read it as a permutation.
+
+    Returns the parent map with every spine node made a root, and the
+    pairs (u_t, w_t) of the sorted spine labels u with the spine word w.
+    """
+    spine = [start]
+    while (p := parent[spine[-1] - 1]) is not None:
+        spine.append(p)
+    cut = list(parent)
+    for w in spine:
+        cut[w - 1] = None
+    return cut, list(zip(sorted(spine), spine))
+
+
+def _link(parent: Sequence[int | None], spine: list[int]) -> tuple[int | None, ...]:
+    """Chain the spine word w_1 -> ... -> w_s into a path; w_s is the root."""
+    linked = list(parent)
+    for w, nxt in zip(spine, spine[1:]):
+        linked[w - 1] = nxt
+    linked[spine[-1] - 1] = None
+    return tuple(linked)
 
 
 def endofunction_to_tree(f: Endofunction) -> DoublyRootedTree:
@@ -94,34 +123,19 @@ def endofunction_to_tree(f: Endofunction) -> DoublyRootedTree:
     w_t = f(u_t); the tail is w_1 and the head w_s.
     """
     f = check_endofunction(f)
-    n = len(f)
-    if n == 0:
+    if not f:
         raise StructureError("the empty endofunction has no tree counterpart")
-    recurrent = recurrent_points(f)
-    spine = [f[u - 1] for u in sorted(recurrent)]
-    edges = {(min(v, f[v - 1]), max(v, f[v - 1]))
-             for v in range(1, n + 1) if v not in recurrent}
-    edges.update(
-        (min(a, b), max(a, b)) for a, b in zip(spine, spine[1:])
-    )
-    return DoublyRootedTree(
-        n=n, edges=tuple(sorted(edges)), tail=spine[0], head=spine[-1]
-    )
+    spine = [f[u - 1] for u in sorted(recurrent_points(f))]
+    return DoublyRootedTree(parent=_link(f, spine), tail=spine[0])
 
 
 def tree_to_endofunction(t: DoublyRootedTree) -> Endofunction:
     """Read the spine as a permutation of its sorted labels; hang the rest.
 
-    One search from the head gives every node its neighbor toward the head.
-    The spine is the tail's chain of those parents; a node off the spine
-    maps to its parent, which is its neighbor toward the spine.
+    A node off the spine maps to its parent, its neighbor toward the spine.
     """
-    parent = _parents(_adjacency(t.n, t.edges), t.head)
-    spine = [t.tail]
-    while spine[-1] != t.head:
-        spine.append(parent[spine[-1]])
-    f = parent[1:]
-    for u, w in zip(sorted(spine), spine):
+    f, pairs = _spine(t.parent, t.tail)
+    for u, w in pairs:
         f[u - 1] = w
     return tuple(f)
 
@@ -140,29 +154,11 @@ def _check_forest(
     Every childless internal node must be a root: a node has a child when
     it is the parent of an internal node or a leaf, or is in extra_children.
     """
+    roots = _roots(x_parent, single_root)
     i = len(x_parent)
-    roots = [x + 1 for x, p in enumerate(x_parent) if p is None]
-    if not roots:
-        raise StructureError("no root")
-    if single_root and len(roots) != 1:
-        raise StructureError("expected exactly one root")
-    for p in x_parent:
-        if p is not None and not 1 <= p <= i:
-            raise StructureError(f"parent {p} outside [1..{i}]")
     for y, p in enumerate(y_parent):
         if not 1 <= p <= i:
             raise StructureError(f"leaf {y + 1} parent {p} outside [1..{i}]")
-    # Climb from every node until a root or a node stamped by an earlier
-    # climb, which is known to reach a root; meeting the climb's own stamp
-    # means a cycle.  Each node is climbed through once.
-    stamp = [0] * (i + 1)
-    for x in range(1, i + 1):
-        v: int | None = x
-        while v is not None and not stamp[v]:
-            stamp[v] = x
-            v = x_parent[v - 1]
-        if v is not None and stamp[v] == x:
-            raise StructureError("parent map has a cycle")
     bare = _childless(x_parent).difference(y_parent, extra_children, roots)
     if bare:
         raise StructureError(
@@ -208,14 +204,10 @@ class PointedLeafTree:
     star_parent: int
 
     def __post_init__(self):
-        i = len(self.x_parent)
-        if not 1 <= self.star_parent <= i:
+        if not 1 <= self.star_parent <= len(self.x_parent):
             raise StructureError("the extra leaf must hang from an internal node")
         _check_forest(
-            self.x_parent,
-            self.y_parent,
-            extra_children={self.star_parent},
-            single_root=True,
+            self.x_parent, self.y_parent, {self.star_parent}, single_root=True
         )
 
 
@@ -252,28 +244,17 @@ class PermutedForest:
 
 def pointed_tree_to_permuted_forest(t: PointedLeafTree) -> PermutedForest:
     """Cut the spine (extra leaf to root) and read it as a permutation."""
-    spine = [t.star_parent]
-    while t.x_parent[spine[-1] - 1] is not None:
-        spine.append(t.x_parent[spine[-1] - 1])
-    spine_set = set(spine)
-    x_parent = tuple(
-        None if x + 1 in spine_set else p for x, p in enumerate(t.x_parent)
-    )
-    root_image = tuple(zip(sorted(spine_set), spine))
+    x_parent, root_image = _spine(t.x_parent, t.star_parent)
     return PermutedForest(
-        x_parent=x_parent, y_parent=t.y_parent, root_image=root_image
+        x_parent=tuple(x_parent), y_parent=t.y_parent, root_image=tuple(root_image)
     )
 
 
 def permuted_forest_to_pointed_tree(p: PermutedForest) -> PointedLeafTree:
     """Inverse of the cut: rebuild the spine from the root permutation."""
     spine = [w for _, w in p.root_image]
-    x_parent = list(p.x_parent)
-    for w, nxt in zip(spine, spine[1:]):
-        x_parent[w - 1] = nxt
-    # spine[-1] keeps parent None: it becomes the root of the whole tree.
     return PointedLeafTree(
-        x_parent=tuple(x_parent), y_parent=p.y_parent, star_parent=spine[0]
+        x_parent=_link(p.x_parent, spine), y_parent=p.y_parent, star_parent=spine[0]
     )
 
 
@@ -312,20 +293,37 @@ def labeled_trees(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
 
 def doubly_rooted_trees(n: int) -> Iterator[DoublyRootedTree]:
     """All doubly-rooted trees on [n]; there are n^n of them."""
-    for edges in labeled_trees(n):
+    for parent in rooted_parent_maps(n):
         for tail in range(1, n + 1):
-            for head in range(1, n + 1):
-                yield DoublyRootedTree(n=n, edges=edges, tail=tail, head=head)
+            yield DoublyRootedTree(parent=parent, tail=tail)
 
 
 def rooted_parent_maps(i: int) -> Iterator[tuple[int | None, ...]]:
     """All i^(i-1) rooted labeled trees on [i], as parent tuples."""
     for edges in labeled_trees(i):
-        adj = _adjacency(i, edges)
+        adj: list[list[int]] = [[] for _ in range(i + 1)]
+        for a, b in edges:
+            adj[a].append(b)
+            adj[b].append(a)
         for root in range(1, i + 1):
-            parent = _parents(adj, root)
-            parent[root] = None
-            yield tuple(parent[1:])
+            yield _parents(adj, root)
+
+
+def _parents(adj: list[list[int]], root: int) -> tuple[int | None, ...]:
+    """Depth-first search from root over the adjacency lists of [n].
+
+    Entry v - 1 is the node from which v was reached, None at the root.
+    """
+    parent: list[int | None] = [0] * len(adj)
+    parent[root] = None
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if parent[v] == 0:
+                parent[v] = u
+                stack.append(v)
+    return tuple(parent[1:])
 
 
 def two_sort_trees(i: int, j: int) -> Iterator[TwoSortTree]:
@@ -388,11 +386,12 @@ def endofunction_dot(f: Endofunction) -> str:
 def doubly_rooted_tree_dot(t: DoublyRootedTree, filled: set[int] | None = None) -> str:
     """The doubly-rooted tree in DOT; tail and head get extra circles."""
     filled = filled or set()
+    head = t.head
     lines = ["graph spine_tree {"]
     for v in range(1, t.n + 1):
         fill = "black" if v in filled else "white"
         font = ", fontcolor=white" if v in filled else ""
-        peripheries = 1 + (v == t.tail) + 2 * (v == t.head)
+        peripheries = 1 + (v == t.tail) + 2 * (v == head)
         lines.append(
             f'  {v} [shape=circle, style=filled, fillcolor={fill}'
             f", peripheries={peripheries}{font}];"

@@ -213,34 +213,9 @@ def merge_sorts(
     return tuple(totals)
 
 
-def _compose_cell(g, prev, binom, i: int, j: int) -> int:
-    """Cell (i, j), i + j >= 1, of u_m = F^(m) o G, from u_{m+1} = prev.
-
-    dX(F o G) = dX(G) * (F' o G) gives the cells with i >= 1, and
-    dY(F o G) = dY(G) * (F' o G) the i = 0 column.  The cell reads G up to
-    degree i + j and u_{m+1} below it.
-    """
-    s = 0
-    if i:
-        bj = binom[j]
-        for p, bp in enumerate(binom[i - 1]):
-            gp, up = g[p + 1], prev[i - 1 - p]
-            for q in range(j + 1):
-                gv = gp[q]
-                if gv:
-                    s += bp * bj[q] * gv * up[j - q]
-    else:
-        g0, u0 = g[0], prev[0]
-        for q, bq in enumerate(binom[j - 1]):
-            gv = g0[q + 1]
-            if gv:
-                s += bq * gv * u0[j - 1 - q]
-    return s
-
-
 def _product_cell(g, z, binom, i: int, j: int) -> int:
-    """Cell (i, j) of the labeled product G * Z, reading Z below degree
-    i + j only (G[0][0] is 0)."""
+    """Cell (i, j) of the labeled product G * Z, reading Z up to degree
+    i + j, and below it when G[0][0] is 0."""
     s = 0
     bj = binom[j]
     for p, bp in enumerate(binom[i]):
@@ -325,14 +300,20 @@ def _derivative_tables(f: Sequence[int]):
 def _fill_degree(us, tail, g, binom, d: int) -> None:
     """Fill degree d of every array that reaches it.
 
-    Array m is filled from array m + 1 below degree d (_compose_cell), the
-    last one, w, from the tail equation w = b*v + G * z, which reads v at
-    degree d and z below it; so the chain goes first.
+    Array m is filled from array m + 1 below degree d: the identity
+    dX(F o G) = dX(G) * (F' o G) gives the cells with i >= 1 and
+    dY(F o G) = dY(G) * (F' o G) the i = 0 column; dX(G) is g[1:] and the
+    i = 0 row of dY(G) is g[0][1:], taken here because the solver fills g
+    in place.  The last array, w, comes from the tail equation
+    w = b*v + G * z, which reads v at degree d and z below it; so the
+    chain goes first.
     """
+    dx, dy = g[1:], [g[0][1:]]
     for cur, prev in zip(us, us[1:]):
         if len(cur) > d:
-            for i in range(d + 1):
-                cur[i][d - i] = _compose_cell(g, prev, binom, i, d - i)
+            cur[0][d] = _product_cell(dy, prev, binom, 0, d - 1)
+            for i in range(1, d + 1):
+                cur[i][d - i] = _product_cell(dx, prev, binom, i - 1, d - i)
     a, b, c, z = tail
     v, w = us[-2], us[-1]
     if len(w) > d:

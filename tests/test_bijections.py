@@ -73,19 +73,23 @@ def test_doubly_rooted_tree_counts():
         assert sum(1 for _ in labeled_trees(n)) == max(1, n ** (n - 2))
     assert list(labeled_trees(2)) == [((1, 2),)]
     for n in range(1, 6):
-        assert sum(1 for _ in doubly_rooted_trees(n)) == n**n
+        trees = set(doubly_rooted_trees(n))
+        assert len(trees) == n**n
+        assert {t.edges for t in trees} == set(labeled_trees(n))
 
 
 def test_tree_validation():
     with pytest.raises(StructureError):
-        DoublyRootedTree(n=3, edges=((1, 2),), tail=1, head=1)  # too few edges
+        DoublyRootedTree(parent=(None, None), tail=1)  # two heads
     with pytest.raises(StructureError):
-        DoublyRootedTree(n=3, edges=((1, 2), (1, 2)), tail=1, head=1)
+        DoublyRootedTree(parent=(None, 3, 2), tail=1)  # a cycle
     with pytest.raises(StructureError):
-        DoublyRootedTree(n=2, edges=((1, 2),), tail=3, head=1)
+        DoublyRootedTree(parent=(None, 3), tail=1)  # parent out of range
     with pytest.raises(StructureError):
-        DoublyRootedTree(n=2, edges=((2, 1),), tail=1, head=1)  # not canonical
-    DoublyRootedTree(n=1, edges=(), tail=1, head=1)
+        DoublyRootedTree(parent=(None, 1), tail=3)  # tail out of range
+    with pytest.raises(StructureError):
+        DoublyRootedTree(parent=(), tail=1)  # empty map
+    DoublyRootedTree(parent=(None,), tail=1)
 
 
 def test_rooted_parent_maps_count():
