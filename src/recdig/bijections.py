@@ -383,9 +383,9 @@ def endofunction_dot(f: Endofunction) -> str:
     return "\n".join(lines) + "\n"
 
 
-def doubly_rooted_tree_dot(t: DoublyRootedTree, filled: set[int] | None = None) -> str:
-    """The doubly-rooted tree in DOT; tail and head get extra circles."""
-    filled = filled or set()
+def doubly_rooted_tree_dot(t: DoublyRootedTree, filled: set[int]) -> str:
+    """The doubly-rooted tree in DOT; tail and head get extra circles and
+    the nodes in ``filled`` are drawn black."""
     head = t.head
     lines = ["graph spine_tree {"]
     for v in range(1, t.n + 1):

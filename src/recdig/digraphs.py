@@ -48,7 +48,7 @@ def exact_div(num: int, den: int) -> int:
 def _need_truncation(r: CoeffSeq, n: int, what: str) -> None:
     if r.truncation < n:
         raise ShapeError(
-            f"{what}: sequence {r.label!r} truncated at {r.truncation}, need {n}"
+            f"{what}: sequence truncated at {r.truncation}, need {n}"
         )
 
 
@@ -101,9 +101,7 @@ def digraph_rows(rec: CoeffSeq, nmax: int) -> Iterator[list[int]]:
 def digraph_table(rec: CoeffSeq, nmax: int) -> CoeffTable:
     """The full table on i + j <= nmax, stored row by row from digraph_rows."""
     return CoeffTable(
-        tuple(tuple(row) for row in digraph_rows(rec, nmax)),
-        label=f"recdig[{rec.label}]",
-        virtual=rec.virtual,
+        tuple(tuple(row) for row in digraph_rows(rec, nmax)), virtual=rec.virtual
     )
 
 
@@ -225,11 +223,7 @@ def digraph_table_with_branches(
     rows = tuple(
         tuple(col[i] for col in cols[: nmax + 1 - i]) for i in range(nmax + 1)
     )
-    return CoeffTable(
-        rows,
-        label=f"recdig[{rec.label};{branch.label}]",
-        virtual=rec.virtual or branch.virtual,
-    )
+    return CoeffTable(rows, virtual=rec.virtual or branch.virtual)
 
 
 def bounded_arity_tree_table(k: int, nmax: int) -> CoeffTable:

@@ -263,6 +263,8 @@ CLASS_NAMES = (
     "idempotent",
     "indegree_bounded",
 )
+# The least parameter k of each class that takes one; the others take none.
+CLASS_PARAM_MIN = {"idempotent": 2, "indegree_bounded": 1}
 
 
 @dataclass(frozen=True)
@@ -275,12 +277,12 @@ class ClassPredicate:
     def __post_init__(self):
         if self.name not in CLASS_NAMES:
             raise ValueError(f"unknown class {self.name!r}")
-        if self.name == "idempotent" and (self.param is None or self.param < 2):
-            raise ValueError("idempotent class needs a parameter k >= 2")
-        if self.name == "indegree_bounded" and (
-            self.param is None or self.param < 1
-        ):
-            raise ValueError("indegree_bounded class needs a parameter k >= 1")
+        least = CLASS_PARAM_MIN.get(self.name)
+        if least is None:
+            if self.param is not None:
+                raise ValueError(f"class {self.name} takes no parameter")
+        elif self.param is None or self.param < least:
+            raise ValueError(f"{self.name} class needs a parameter k >= {least}")
 
     def matches(self, f: Endofunction, profile: DigraphProfile | None) -> bool:
         """Whether f is in the class; profile is classify(f), or None for
@@ -309,8 +311,8 @@ class ClassPredicate:
 
 def parse_class(text: str) -> ClassPredicate:
     """Parse "forest", "idempotent:3", "indegree_bounded:2", ..."""
-    name, _, param = text.partition(":")
-    return ClassPredicate(name, int(param) if param else None)
+    name, colon, param = text.partition(":")
+    return ClassPredicate(name, int(param) if colon else None)
 
 
 def count(

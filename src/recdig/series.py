@@ -36,84 +36,69 @@ class LogarithmDomainError(ValueError):
     """Logarithm needs exactly one structure on the empty set."""
 
 
+def same_truncation(a, b, op: str) -> None:
+    """Raise ShapeError unless coefficient containers a and b (sequences or
+    tables) are truncated at the same size."""
+    if a.truncation != b.truncation:
+        raise ShapeError(
+            f"{op}: truncations differ ({a.truncation} vs {b.truncation})"
+        )
+
+
 @dataclass(frozen=True)
 class CoeffSeq:
     """Labeled counts c[0..N] of a class of structures, truncated at N.
 
-    Equality and hashing look at the counts only; ``label`` and ``virtual``
-    are metadata.  Concrete (non-virtual) sequences must be nonnegative.
+    Equality and hashing look at the counts only, not at ``virtual``.
+    Concrete (non-virtual) sequences must be nonnegative.
     """
 
     counts: tuple[int, ...]
-    label: str = field(default="", compare=False)
     virtual: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if not self.counts:
             raise ShapeError("a sequence needs at least the size-0 count")
         if not self.virtual and any(c < 0 for c in self.counts):
-            raise ValueError(
-                f"negative count in concrete sequence {self.label!r}: {self.counts}"
-            )
+            raise ValueError(f"negative count in concrete sequence: {self.counts}")
 
     @property
     def truncation(self) -> int:
         return len(self.counts) - 1
 
-    def __getitem__(self, n: int) -> int:
-        return self.counts[n]
-
-    def __iter__(self):
-        return iter(self.counts)
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
-    def _same_shape(self, other: "CoeffSeq", op: str) -> None:
-        if self.truncation != other.truncation:
-            raise ShapeError(
-                f"{op}: truncations differ "
-                f"({self.truncation} vs {other.truncation})"
-            )
-
     # -- linear structure ------------------------------------------------
 
     def __add__(self, other: "CoeffSeq") -> "CoeffSeq":
-        self._same_shape(other, "sum")
+        same_truncation(self, other, "sum")
         return CoeffSeq(
             tuple(a + b for a, b in zip(self.counts, other.counts)),
-            label=f"({self.label}+{other.label})",
             virtual=self.virtual or other.virtual,
         )
 
     def __sub__(self, other: "CoeffSeq") -> "CoeffSeq":
-        self._same_shape(other, "difference")
+        same_truncation(self, other, "difference")
         return CoeffSeq(
-            tuple(a - b for a, b in zip(self.counts, other.counts)),
-            label=f"({self.label}-{other.label})",
-            virtual=True,
+            tuple(a - b for a, b in zip(self.counts, other.counts)), virtual=True
         )
 
     def __mul__(self, other: "CoeffSeq") -> "CoeffSeq":
         """Labeled product: binomial convolution of the counts."""
-        self._same_shape(other, "product")
+        same_truncation(self, other, "product")
         a, b = self.counts, other.counts
         counts = tuple(
             sum(comb(n, k) * a[k] * b[n - k] for k in range(n + 1))
             for n in range(len(a))
         )
-        return CoeffSeq(
-            counts,
-            label=f"{self.label}*{other.label}",
-            virtual=self.virtual or other.virtual,
-        )
+        return CoeffSeq(counts, virtual=self.virtual or other.virtual)
 
     # -- reshaping -------------------------------------------------------
 
     def truncate(self, n: int) -> "CoeffSeq":
         if n < 0 or n > self.truncation:
-            raise ShapeError(f"cannot truncate length-{len(self)} sequence at {n}")
-        return CoeffSeq(self.counts[: n + 1], label=self.label, virtual=self.virtual)
+            raise ShapeError(
+                f"cannot truncate length-{len(self.counts)} sequence at {n}"
+            )
+        return CoeffSeq(self.counts[: n + 1], virtual=self.virtual)
 
     def restrict(self, n: int) -> "CoeffSeq":
         """Keep only the structures of size exactly n."""
@@ -122,40 +107,32 @@ class CoeffSeq:
         counts = tuple(
             c if k == n else 0 for k, c in enumerate(self.counts)
         )
-        return CoeffSeq(counts, label=f"{self.label}_{n}", virtual=self.virtual)
+        return CoeffSeq(counts, virtual=self.virtual)
 
     def positive_part(self) -> "CoeffSeq":
         """Drop the structure on the empty set, keep everything else."""
-        return CoeffSeq(
-            (0,) + self.counts[1:], label=f"{self.label}+", virtual=self.virtual
-        )
+        return CoeffSeq((0,) + self.counts[1:], virtual=self.virtual)
 
     # -- pointing, derivative, integral -----------------------------------
 
     def pointing(self) -> "CoeffSeq":
         """Distinguish one element: c[n] becomes n*c[n]."""
         return CoeffSeq(
-            tuple(n * c for n, c in enumerate(self.counts)),
-            label=f"{self.label}^.",
-            virtual=self.virtual,
+            tuple(n * c for n, c in enumerate(self.counts)), virtual=self.virtual
         )
 
     def derivative(self) -> "CoeffSeq":
         """Shift down one size; the truncation drops by one."""
         if self.truncation == 0:
             raise ShapeError("derivative of a truncation-0 sequence is empty")
-        return CoeffSeq(self.counts[1:], label=f"{self.label}'", virtual=self.virtual)
+        return CoeffSeq(self.counts[1:], virtual=self.virtual)
 
     def integral(self) -> "CoeffSeq":
         """Shift up one size (structure on a total order minus its minimum).
 
         The truncation is unchanged, so the top input coefficient falls off.
         """
-        return CoeffSeq(
-            (0,) + self.counts[:-1],
-            label=f"int({self.label})",
-            virtual=self.virtual,
-        )
+        return CoeffSeq((0,) + self.counts[:-1], virtual=self.virtual)
 
     # -- substitution and logarithm ---------------------------------------
 
@@ -167,7 +144,7 @@ class CoeffSeq:
         degree by degree from the previous.  Only integer multiplications
         and additions are performed.
         """
-        self._same_shape(inner, "composition")
+        same_truncation(self, inner, "composition")
         g = inner.counts
         if g[0] != 0:
             raise CompositionDomainError(
@@ -185,11 +162,7 @@ class CoeffSeq:
                     comb(n, k) * g[k + 1] * prev[n - k] for k in range(n + 1)
                 )
             u = cur
-        return CoeffSeq(
-            tuple(u),
-            label=f"{self.label}({inner.label})",
-            virtual=self.virtual or inner.virtual,
-        )
+        return CoeffSeq(tuple(u), virtual=self.virtual or inner.virtual)
 
     def log(self) -> "CoeffSeq":
         """The sequence g with E(g) equal to self; tagged virtual.
@@ -205,7 +178,7 @@ class CoeffSeq:
             g[n + 1] = a[n + 1] - sum(
                 comb(n, k) * g[k + 1] * a[n - k] for k in range(n)
             )
-        return CoeffSeq(tuple(g), label=f"log({self.label})", virtual=True)
+        return CoeffSeq(tuple(g), virtual=True)
 
 
 # -- the atom catalogue ----------------------------------------------------
@@ -335,5 +308,4 @@ def atom(name: str, nmax: int, param: int | None = None) -> CoeffSeq:
     else:
         raise UnsupportedAtomError(f"unknown atom {name!r}")
 
-    label = name if param is None else f"{name[0]}_{param}"
-    return CoeffSeq(tuple(counts), label=label)
+    return CoeffSeq(tuple(counts))

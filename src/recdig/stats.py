@@ -26,7 +26,13 @@ from recdig.digraphs import (
     digraph_count_by_recurrent,
     endofunction_count,
 )
-from recdig.series import CoeffSeq, LogarithmDomainError, ShapeError, atom
+from recdig.series import (
+    CoeffSeq,
+    LogarithmDomainError,
+    ShapeError,
+    atom,
+    same_truncation,
+)
 from recdig.stirling import sdiff
 
 EULER_GAMMA = 0.5772156649
@@ -41,17 +47,12 @@ def ordinal_product(a: CoeffSeq, b: CoeffSeq) -> CoeffSeq:
     Plain (non-binomial) convolution: the segment split leaves no label
     choices.
     """
-    if a.truncation != b.truncation:
-        raise ShapeError("ordinal product: truncations differ")
+    same_truncation(a, b, "ordinal product")
     counts = tuple(
         sum(a.counts[k] * b.counts[n - k] for k in range(n + 1))
         for n in range(len(a.counts))
     )
-    return CoeffSeq(
-        counts,
-        label=f"{a.label}(+){b.label}",
-        virtual=a.virtual or b.virtual,
-    )
+    return CoeffSeq(counts, virtual=a.virtual or b.virtual)
 
 
 # -- statistic totals ---------------------------------------------------------

@@ -20,6 +20,7 @@ from recdig.series import (
     CompositionDomainError,
     ShapeError,
     pascal_rows,
+    same_truncation,
 )
 
 
@@ -28,7 +29,6 @@ class CoeffTable:
     """Triangular table rows[i][j] = |F[i, j]| for i + j <= N."""
 
     rows: tuple[tuple[int, ...], ...]
-    label: str = field(default="", compare=False)
     virtual: bool = field(default=False, compare=False)
 
     def __post_init__(self):
@@ -41,7 +41,7 @@ class CoeffTable:
                     f"row {i} has {len(row)} entries, expected {n + 1 - i}"
                 )
         if not self.virtual and any(c < 0 for row in self.rows for c in row):
-            raise ValueError(f"negative count in concrete table {self.label!r}")
+            raise ValueError("negative count in concrete table")
 
     @property
     def truncation(self) -> int:
@@ -64,49 +64,36 @@ class CoeffTable:
         t = [[0] * (nmax + 1 - i) for i in range(nmax + 1)]
         if nmax >= 1:
             t[1][0] = 1
-        return cls(tuple(tuple(r) for r in t), label="X")
+        return cls(tuple(tuple(r) for r in t))
 
     @classmethod
     def y_singleton(cls, nmax: int) -> "CoeffTable":
         t = [[0] * (nmax + 1 - i) for i in range(nmax + 1)]
         if nmax >= 1:
             t[0][1] = 1
-        return cls(tuple(tuple(r) for r in t), label="Y")
+        return cls(tuple(tuple(r) for r in t))
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _same_shape(self, other: "CoeffTable", op: str) -> None:
-        if self.truncation != other.truncation:
-            raise ShapeError(
-                f"{op}: truncations differ "
-                f"({self.truncation} vs {other.truncation})"
-            )
-
     def __add__(self, other: "CoeffTable") -> "CoeffTable":
-        self._same_shape(other, "sum")
+        same_truncation(self, other, "sum")
         rows = tuple(
             tuple(a + b for a, b in zip(ra, rb))
             for ra, rb in zip(self.rows, other.rows)
         )
-        return CoeffTable(
-            rows,
-            label=f"({self.label}+{other.label})",
-            virtual=self.virtual or other.virtual,
-        )
+        return CoeffTable(rows, virtual=self.virtual or other.virtual)
 
     def __sub__(self, other: "CoeffTable") -> "CoeffTable":
-        self._same_shape(other, "difference")
+        same_truncation(self, other, "difference")
         rows = tuple(
             tuple(a - b for a, b in zip(ra, rb))
             for ra, rb in zip(self.rows, other.rows)
         )
-        return CoeffTable(
-            rows, label=f"({self.label}-{other.label})", virtual=True
-        )
+        return CoeffTable(rows, virtual=True)
 
     def __mul__(self, other: "CoeffTable") -> "CoeffTable":
         """Labeled product, a binomial convolution in both sorts."""
-        self._same_shape(other, "product")
+        same_truncation(self, other, "product")
         n = self.truncation
         a, b = self.rows, other.rows
         rows = []
@@ -122,11 +109,7 @@ class CoeffTable:
                             s += bi * comb(j, q) * av * b[i - p][j - q]
                 row.append(s)
             rows.append(tuple(row))
-        return CoeffTable(
-            tuple(rows),
-            label=f"{self.label}*{other.label}",
-            virtual=self.virtual or other.virtual,
-        )
+        return CoeffTable(tuple(rows), virtual=self.virtual or other.virtual)
 
     # -- per-sort operators --------------------------------------------------
 
@@ -139,7 +122,7 @@ class CoeffTable:
             tuple(self.rows[i + 1][j] for j in range(n - i))
             for i in range(n)
         )
-        return CoeffTable(rows, label=f"dX({self.label})", virtual=self.virtual)
+        return CoeffTable(rows, virtual=self.virtual)
 
     def partial_y(self) -> "CoeffTable":
         """One extra Y label: c[i][j] = a[i][j+1]; truncation drops by one."""
@@ -150,14 +133,14 @@ class CoeffTable:
             tuple(self.rows[i][j + 1] for j in range(n - i))
             for i in range(n)
         )
-        return CoeffTable(rows, label=f"dY({self.label})", virtual=self.virtual)
+        return CoeffTable(rows, virtual=self.virtual)
 
     def pointing_x(self) -> "CoeffTable":
         """Distinguish an X label: c[i][j] = i * a[i][j]."""
         rows = tuple(
             tuple(i * c for c in row) for i, row in enumerate(self.rows)
         )
-        return CoeffTable(rows, label=f"{self.label}^.X", virtual=self.virtual)
+        return CoeffTable(rows, virtual=self.virtual)
 
     def truncate(self, n: int) -> "CoeffTable":
         if n < 0 or n > self.truncation:
@@ -165,7 +148,7 @@ class CoeffTable:
         rows = tuple(
             tuple(self.rows[i][j] for j in range(n + 1 - i)) for i in range(n + 1)
         )
-        return CoeffTable(rows, label=self.label, virtual=self.virtual)
+        return CoeffTable(rows, virtual=self.virtual)
 
     # -- merging the two sorts back into one -----------------------------------
 
@@ -176,9 +159,7 @@ class CoeffTable:
         c[n] = sum_i binom(n, i) * a[i][n-i].
         """
         counts = merge_sorts(self.rows, self.truncation, identify=True)
-        return CoeffSeq(
-            counts, label=f"{self.label}(X,X)", virtual=self.virtual
-        )
+        return CoeffSeq(counts, virtual=self.virtual)
 
     def concat_sorts(self) -> CoeffSeq:
         """Counts when sort X is forced onto the smallest labels.
@@ -187,7 +168,7 @@ class CoeffTable:
         Cayley-permutation style merge (internal nodes take 1..i).
         """
         counts = merge_sorts(self.rows, self.truncation, identify=False)
-        return CoeffSeq(counts, label=f"{self.label}^", virtual=self.virtual)
+        return CoeffSeq(counts, virtual=self.virtual)
 
 
 def merge_sorts(
@@ -344,11 +325,7 @@ def compose_table(outer: CoeffSeq, inner: CoeffTable) -> CoeffTable:
     big-integer products.  Ballots and set partitions have no such
     equation and keep the whole chain, O(N^5).
     """
-    if outer.truncation != inner.truncation:
-        raise ShapeError(
-            f"composition: truncations differ "
-            f"({outer.truncation} vs {inner.truncation})"
-        )
+    same_truncation(outer, inner, "composition")
     g = inner.rows
     if g[0][0] != 0:
         raise CompositionDomainError("inner class has structures on the empty set")
@@ -359,9 +336,7 @@ def compose_table(outer: CoeffSeq, inner: CoeffTable) -> CoeffTable:
         _fill_degree(us, tail, g, binom, d)
 
     return CoeffTable(
-        tuple(tuple(row) for row in us[0]),
-        label=f"{outer.label}({inner.label})",
-        virtual=outer.virtual or inner.virtual,
+        tuple(tuple(row) for row in us[0]), virtual=outer.virtual or inner.virtual
     )
 
 
@@ -402,9 +377,7 @@ def solve_tree_equation(branching: CoeffSeq, nmax: int) -> CoeffTable:
         if d < nmax:
             _fill_degree(us, tail, g, binom, d)
 
-    tree = CoeffTable(
-        tuple(tuple(row) for row in t), label=f"tree[{branching.label}]"
-    )
+    tree = CoeffTable(tuple(tuple(row) for row in t))
     x1 = CoeffTable.x_singleton(nmax)
     again = compose_table(b, tree - x1 + CoeffTable.y_singleton(nmax)).rows
     if any(

@@ -178,6 +178,8 @@ def test_usage_error_exit_code():
     assert rc == 2
     rc, _ = run(["joyal", "--n", "3", "--input", "12"])  # wrong length
     assert rc == 2
+    rc, out = run(["count", "--n", "3", "--class", "forest:7"])  # no parameter
+    assert rc == 2 and out == ""
 
 
 def test_joyal_text_output():

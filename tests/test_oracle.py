@@ -209,6 +209,11 @@ def test_class_predicate_validation():
         oracle.ClassPredicate("idempotent")
     with pytest.raises(ValueError):
         oracle.ClassPredicate("indegree_bounded", 0)
+    for text in ("forest:7", "all:-4", "cayley:0", "derangement:2"):
+        with pytest.raises(ValueError, match="takes no parameter"):
+            oracle.parse_class(text)
+    with pytest.raises(ValueError):
+        oracle.parse_class("forest:")  # an empty parameter is not "none"
     assert oracle.parse_class("idempotent:3").param == 3
     assert oracle.parse_class("forest").name == "forest"
 

@@ -210,7 +210,7 @@ def test_identity_checks_need_long_sequences():
 def test_identity_checks_hold_for_any_recurrent_sequence():
     # The four families are identities in R (linear in each R[r]), so even
     # an arbitrary sequence passes; mismatches could only come from bugs.
-    arbitrary = CoeffSeq((1, 5, 0, 7), label="arbitrary")
+    arbitrary = CoeffSeq((1, 5, 0, 7))
     assert all(c.ok for c in identity_checks(arbitrary, 3))
 
 

@@ -1,3 +1,4 @@
+import operator
 import random
 from math import comb
 
@@ -13,6 +14,7 @@ from recdig.series import (
     ShapeError,
     atom,
 )
+from recdig.stats import ordinal_product
 from recdig.tables import (
     CoeffTable,
     compose_table,
@@ -226,7 +228,7 @@ def test_compose_matches_sum_of_divided_powers():
             for outer in _named_outers(n) + _random_outers(rng, n):
                 assert compose_table(outer, inner).rows == _compose_by_powers(
                     outer, inner
-                ), (n, outer.label, outer.counts)
+                ), (n, outer.counts)
 
 
 # (m0, (a, b, c)): F^(m0) is the first derivative with
@@ -332,3 +334,33 @@ def test_end_table_is_binomial_multiple_of_cayley_table():
         for i in range(n + 1):
             key = (i, n - i)
             assert end.get(key, 0) == comb(n, i) * cay.get(key, 0), key
+
+
+def _seq(n):
+    return atom("X", n)
+
+
+@pytest.mark.parametrize(
+    "op, left, right",
+    [
+        (operator.add, _seq, _seq),
+        (operator.sub, _seq, _seq),
+        (operator.mul, _seq, _seq),
+        (CoeffSeq.compose, _seq, _seq),
+        (operator.add, CoeffTable.x_singleton, CoeffTable.x_singleton),
+        (operator.sub, CoeffTable.x_singleton, CoeffTable.x_singleton),
+        (operator.mul, CoeffTable.x_singleton, CoeffTable.x_singleton),
+        (compose_table, _seq, CoeffTable.x_singleton),
+        (ordinal_product, _seq, _seq),
+    ],
+    ids=[
+        "seq-add", "seq-sub", "seq-mul", "seq-compose",
+        "table-add", "table-sub", "table-mul", "compose_table",
+        "ordinal_product",
+    ],
+)
+def test_binary_operations_reject_differing_truncations(op, left, right):
+    op(left(3), right(3))  # equal truncations are accepted
+    for m, n in ((3, 4), (4, 3)):
+        with pytest.raises(ShapeError, match="truncations differ"):
+            op(left(m), right(n))
