@@ -19,10 +19,10 @@ one spine link, so each round trip is linear up to sorting the spine.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
 
+from recdig._record import Record
 from recdig.oracle import Endofunction, check_endofunction, recurrent_points
 
 
@@ -33,20 +33,20 @@ class StructureError(ValueError):
 # -- unisort: doubly-rooted trees <-> endofunctions -------------------------
 
 
-@dataclass(frozen=True)
-class DoublyRootedTree:
+class DoublyRootedTree(Record):
     """A labeled tree on [n] with an ordered pair of distinguished nodes.
 
     parent[v - 1] is the neighbor of v toward the head, None at the head.
     """
 
-    parent: tuple[int | None, ...]
-    tail: int
+    __slots__ = ("parent", "tail")
 
-    def __post_init__(self):
-        _roots(self.parent, single_root=True)
-        if not 1 <= self.tail <= len(self.parent):
+    def __init__(self, parent: tuple[int | None, ...], tail: int):
+        _roots(parent, single_root=True)
+        if not 1 <= tail <= len(parent):
             raise StructureError("the tail must be a node of the tree")
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "tail", tail)
 
     @property
     def n(self) -> int:
@@ -167,8 +167,7 @@ def _check_forest(
     return roots
 
 
-@dataclass(frozen=True)
-class TwoSortTree:
+class TwoSortTree(Record):
     """A rooted tree with internal nodes of sort X and leaves of sort Y.
 
     x_parent[t - 1] is the parent of internal node t (None at the root);
@@ -177,21 +176,19 @@ class TwoSortTree:
     have children by construction.
     """
 
-    x_parent: tuple[int | None, ...]
-    y_parent: tuple[int, ...]
+    __slots__ = ("x_parent", "y_parent")
 
-    def __post_init__(self):
-        if not self.x_parent:
+    def __init__(self, x_parent: tuple[int | None, ...], y_parent: tuple[int, ...]):
+        if not x_parent:
             raise StructureError("a two-sort tree needs an internal root")
         # With one root and no cycle, the root is childless only when it
         # is bare (i = 1, j = 0), so the forest check covers every node.
-        _check_forest(
-            self.x_parent, self.y_parent, extra_children=set(), single_root=True
-        )
+        _check_forest(x_parent, y_parent, extra_children=set(), single_root=True)
+        object.__setattr__(self, "x_parent", x_parent)
+        object.__setattr__(self, "y_parent", y_parent)
 
 
-@dataclass(frozen=True)
-class PointedLeafTree:
+class PointedLeafTree(Record):
     """A two-sort tree carrying one extra, distinguished leaf.
 
     The extra leaf is anonymous (it is the added element of a derivative in
@@ -199,20 +196,23 @@ class PointedLeafTree:
     bare root with just the extra leaf is valid.
     """
 
-    x_parent: tuple[int | None, ...]
-    y_parent: tuple[int, ...]
-    star_parent: int
+    __slots__ = ("x_parent", "y_parent", "star_parent")
 
-    def __post_init__(self):
-        if not 1 <= self.star_parent <= len(self.x_parent):
+    def __init__(
+        self,
+        x_parent: tuple[int | None, ...],
+        y_parent: tuple[int, ...],
+        star_parent: int,
+    ):
+        if not 1 <= star_parent <= len(x_parent):
             raise StructureError("the extra leaf must hang from an internal node")
-        _check_forest(
-            self.x_parent, self.y_parent, {self.star_parent}, single_root=True
-        )
+        _check_forest(x_parent, y_parent, {star_parent}, single_root=True)
+        object.__setattr__(self, "x_parent", x_parent)
+        object.__setattr__(self, "y_parent", y_parent)
+        object.__setattr__(self, "star_parent", star_parent)
 
 
-@dataclass(frozen=True)
-class PermutedForest:
+class PermutedForest(Record):
     """A nonempty forest of two-sort trees plus a permutation of the roots.
 
     This is exactly a two-sort functional digraph whose recurrent part is a
@@ -221,20 +221,26 @@ class PermutedForest:
     internal node is malformed.
     """
 
-    x_parent: tuple[int | None, ...]
-    y_parent: tuple[int, ...]
-    root_image: tuple[tuple[int, int], ...]
+    __slots__ = ("x_parent", "y_parent", "root_image")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        x_parent: tuple[int | None, ...],
+        y_parent: tuple[int, ...],
+        root_image: tuple[tuple[int, int], ...],
+    ):
         roots = _check_forest(
-            self.x_parent, self.y_parent, extra_children=set(), single_root=False
+            x_parent, y_parent, extra_children=set(), single_root=False
         )
-        dom = sorted(r for r, _ in self.root_image)
-        img = sorted(v for _, v in self.root_image)
+        dom = sorted(r for r, _ in root_image)
+        img = sorted(v for _, v in root_image)
         if dom != roots or img != roots:
             raise StructureError("root_image must permute the forest roots")
-        if self.root_image != tuple(sorted(self.root_image)):
+        if root_image != tuple(sorted(root_image)):
             raise StructureError("root_image pairs must be sorted by root")
+        object.__setattr__(self, "x_parent", x_parent)
+        object.__setattr__(self, "y_parent", y_parent)
+        object.__setattr__(self, "root_image", root_image)
 
     @property
     def roots(self) -> tuple[int, ...]:

@@ -7,7 +7,9 @@ verification or identity mismatch, 2 usage error (including a negative
 size), 3 enumeration budget exceeded, 4 internal error (any other
 exception, such as a RecursionError or a failed exactness or residual
 check: a bug, reported as one ``internal error:`` line and the traceback
-on stderr).
+on stderr), 141 stdout closed before the output was written, as by
+``recdig seq ... | head`` (the code a shell reports for a process killed by
+SIGPIPE; nothing is printed).
 
 Routes: seq, the formula column of verify, and report asymptotics are
 served by the two-sort table recursion (digraphs.count_sequence); table
@@ -18,7 +20,7 @@ count and the oracle column of verify enumerate.
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 
 from recdig import digraphs, oracle, stats
@@ -35,6 +37,7 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
+EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE, as a shell reports it
 
 SEQ_CLASSES = tuple(digraphs.CLASS_RECURRENT_ATOMS)
 
@@ -45,6 +48,8 @@ def _emit(headers: list[str], rows: list[list], fmt: str, out) -> None:
         for row in rows:
             out.write(",".join(str(c) for c in row) + "\n")
     else:
+        import json  # only for --format json, to keep start-up imports lean
+
         for row in rows:
             obj = {h: str(c) for h, c in zip(headers, row)}
             out.write(json.dumps(obj, sort_keys=True) + "\n")
@@ -276,7 +281,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
         "report": _cmd_report,
     }
     try:
-        return handlers[args.command](args, out)
+        code = handlers[args.command](args, out)
+        out.flush()  # a closed stdout pipe fails here, not at interpreter exit
+        return code
     except oracle.BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -284,6 +291,11 @@ def main(argv: list[str] | None = None, out=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:
+        if isinstance(exc, BrokenPipeError) and out is sys.stdout:
+            # The reader has gone.  Point fd 1 at devnull so that the
+            # interpreter's final flush of what is still buffered is quiet.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return EXIT_CLOSED_PIPE
         import traceback  # only on this path, to keep start-up imports lean
 
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -24,9 +24,10 @@ maps/s at n = 8, in two runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, permutations, product
 from typing import Iterable, Iterator, NamedTuple
+
+from recdig._record import Record
 
 Endofunction = tuple[int, ...]
 
@@ -131,8 +132,10 @@ class DigraphProfile(NamedTuple):
     Internal nodes are exactly the image of f (positive indegree), leaves
     the rest.  Recurrent points are the nodes on cycles; each weakly
     connected component contains exactly one cycle.  A NamedTuple because
-    classify builds one per map: a frozen dataclass takes several times as
-    long to construct.
+    classify builds one per map and a tuple is the cheapest record to
+    build: a slotted class storing seven fields one by one takes several
+    times as long.  Unlike those classes it equals a plain tuple of the same
+    values; nothing compares it with one.
     """
 
     n: int
@@ -267,22 +270,22 @@ CLASS_NAMES = (
 CLASS_PARAM_MIN = {"idempotent": 2, "indegree_bounded": 1}
 
 
-@dataclass(frozen=True)
-class ClassPredicate:
+class ClassPredicate(Record):
     """A named digraph class, with the k of idempotent:k or indegree_bounded:k."""
 
-    name: str
-    param: int | None = None
+    __slots__ = ("name", "param")
 
-    def __post_init__(self):
-        if self.name not in CLASS_NAMES:
-            raise ValueError(f"unknown class {self.name!r}")
-        least = CLASS_PARAM_MIN.get(self.name)
+    def __init__(self, name: str, param: int | None = None):
+        if name not in CLASS_NAMES:
+            raise ValueError(f"unknown class {name!r}")
+        least = CLASS_PARAM_MIN.get(name)
         if least is None:
-            if self.param is not None:
-                raise ValueError(f"class {self.name} takes no parameter")
-        elif self.param is None or self.param < least:
-            raise ValueError(f"{self.name} class needs a parameter k >= {least}")
+            if param is not None:
+                raise ValueError(f"class {name} takes no parameter")
+        elif param is None or param < least:
+            raise ValueError(f"{name} class needs a parameter k >= {least}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "param", param)
 
     def matches(self, f: Endofunction, profile: DigraphProfile | None) -> bool:
         """Whether f is in the class; profile is classify(f), or None for

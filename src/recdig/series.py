@@ -13,11 +13,12 @@ differences) are first class but must be tagged ``virtual``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import accumulate, islice
 from math import comb
 from operator import add, mul
 from typing import Iterator
+
+from recdig._record import Record
 
 
 class ShapeError(ValueError):
@@ -45,22 +46,22 @@ def same_truncation(a, b, op: str) -> None:
         )
 
 
-@dataclass(frozen=True)
-class CoeffSeq:
+class CoeffSeq(Record, compare=("counts",)):
     """Labeled counts c[0..N] of a class of structures, truncated at N.
 
     Equality and hashing look at the counts only, not at ``virtual``.
     Concrete (non-virtual) sequences must be nonnegative.
     """
 
-    counts: tuple[int, ...]
-    virtual: bool = field(default=False, compare=False)
+    __slots__ = ("counts", "virtual")
 
-    def __post_init__(self):
-        if not self.counts:
+    def __init__(self, counts: tuple[int, ...], virtual: bool = False):
+        if not counts:
             raise ShapeError("a sequence needs at least the size-0 count")
-        if not self.virtual and any(c < 0 for c in self.counts):
-            raise ValueError(f"negative count in concrete sequence: {self.counts}")
+        if not virtual and any(c < 0 for c in counts):
+            raise ValueError(f"negative count in concrete sequence: {counts}")
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "virtual", virtual)
 
     @property
     def truncation(self) -> int:

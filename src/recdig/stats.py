@@ -16,9 +16,9 @@ recursion (digraphs.count_sequence), so the two routes stay independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial, log
 
+from recdig._record import Record
 from recdig.digraphs import (
     cayley_count,
     count_sequence,
@@ -109,12 +109,14 @@ def total_cycles_over_end(n: int) -> int:
 # -- exact identity suite -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    identity: str
-    index: tuple[int, ...]
-    lhs: int
-    rhs: int
+class IdentityCheck(Record):
+    __slots__ = ("identity", "index", "lhs", "rhs")
+
+    def __init__(self, identity: str, index: tuple[int, ...], lhs: int, rhs: int):
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
     @property
     def ok(self) -> bool:
@@ -212,19 +214,31 @@ def identity_checks(rec: CoeffSeq, nmax: int) -> list[IdentityCheck]:
 # -- asymptotics report ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AsymptoticsRow:
+class AsymptoticsRow(Record):
     """One exact ratio with a decimal rendering and a reference constant.
 
     Purely descriptive: nothing here asserts convergence.
     """
 
-    statistic: str
-    n: int
-    numerator: int
-    denominator: int
-    ratio: str
-    reference: str
+    __slots__ = (
+        "statistic", "n", "numerator", "denominator", "ratio", "reference"
+    )
+
+    def __init__(
+        self,
+        statistic: str,
+        n: int,
+        numerator: int,
+        denominator: int,
+        ratio: str,
+        reference: str,
+    ):
+        object.__setattr__(self, "statistic", statistic)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "ratio", ratio)
+        object.__setattr__(self, "reference", reference)
 
 
 def decimal_string(num: int, den: int) -> str:

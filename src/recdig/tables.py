@@ -9,12 +9,12 @@ merging the sorts back into one label set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import accumulate
 from math import comb, gcd
 from operator import add, mul
 from typing import Iterable, Sequence
 
+from recdig._record import Record
 from recdig.series import (
     CoeffSeq,
     CompositionDomainError,
@@ -24,24 +24,27 @@ from recdig.series import (
 )
 
 
-@dataclass(frozen=True)
-class CoeffTable:
-    """Triangular table rows[i][j] = |F[i, j]| for i + j <= N."""
+class CoeffTable(Record, compare=("rows",)):
+    """Triangular table rows[i][j] = |F[i, j]| for i + j <= N.
 
-    rows: tuple[tuple[int, ...], ...]
-    virtual: bool = field(default=False, compare=False)
+    Equality and hashing look at the rows only, not at ``virtual``.
+    """
 
-    def __post_init__(self):
-        n = len(self.rows) - 1
+    __slots__ = ("rows", "virtual")
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...], virtual: bool = False):
+        n = len(rows) - 1
         if n < 0:
             raise ShapeError("a table needs at least the (0, 0) cell")
-        for i, row in enumerate(self.rows):
+        for i, row in enumerate(rows):
             if len(row) != n + 1 - i:
                 raise ShapeError(
                     f"row {i} has {len(row)} entries, expected {n + 1 - i}"
                 )
-        if not self.virtual and any(c < 0 for row in self.rows for c in row):
+        if not virtual and any(c < 0 for row in rows for c in row):
             raise ValueError("negative count in concrete table")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "virtual", virtual)
 
     @property
     def truncation(self) -> int:

@@ -1,25 +1,12 @@
 import io
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import recdig
 from recdig import oracle
 from recdig.cli import main
-
-# The child interpreter imports the package this test imports, whether it
-# came from PYTHONPATH or from pytest's own pythonpath setting.
-CHILD_ENV = dict(
-    os.environ,
-    PYTHONPATH=os.pathsep.join(
-        filter(None, [str(Path(recdig.__file__).parents[1]),
-                      os.environ.get("PYTHONPATH")])
-    ),
-)
 
 
 def run(argv):
@@ -28,20 +15,42 @@ def run(argv):
     return rc, buf.getvalue()
 
 
-def test_module_entry_point_subprocess():
+def test_module_entry_point_subprocess(child_env):
     out = subprocess.check_output(
         [sys.executable, "-m", "recdig.cli", "seq", "cayder", "--nmax", "5"],
         text=True,
-        env=CHILD_ENV,
+        env=child_env,
     )
     assert out == "n,count\n0,1\n1,0\n2,1\n3,4\n4,25\n5,184\n"
     rc = subprocess.run(
         [sys.executable, "-m", "recdig.cli", "count", "--n", "9",
          "--model", "endofunctions"],
         capture_output=True,
-        env=CHILD_ENV,
+        env=child_env,
     ).returncode
     assert rc == 3
+
+
+@pytest.mark.parametrize("nmax", [2000, 5])
+def test_closed_stdout_pipe_exits_141_quietly(child_env, nmax):
+    # At nmax 2000 seq prints about 5.6 MB, far past a 64 KB pipe buffer,
+    # so the child is still writing when the reader goes after one line.
+    # At nmax 5 the output waits in the stdout buffer for the final flush,
+    # and the reader is gone before the child starts.
+    env = {k: v for k, v in child_env.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "recdig.cli", "seq", "cay", "--nmax", str(nmax)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    if nmax == 2000:
+        assert proc.stdout.readline() == b"n,count\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_seq_cayder():
@@ -164,6 +173,14 @@ def test_internal_errors_exit_4_and_mismatches_exit_1(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("internal error: RecursionError")
     assert "Traceback" in err
+
+    # A broken pipe on any stream but the real stdout is a bug too.
+    def broken_pipe(args, out):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli, "_cmd_seq", broken_pipe)
+    assert run(["seq", "cay", "--nmax", "3"]) == (cli.EXIT_INTERNAL, "")
+    assert capsys.readouterr().err.startswith("internal error: BrokenPipeError")
 
     monkeypatch.setattr(oracle, "count", lambda *args, **kw: -1)
     rc, out = run(["verify", "--nmax", "3"])
