@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import Iterable, Sequence
 
 from recdig import digraphs, oracle, stats
 from recdig.bijections import (
@@ -42,7 +43,7 @@ EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE, as a shell reports it
 SEQ_CLASSES = tuple(digraphs.CLASS_RECURRENT_ATOMS)
 
 
-def _emit(headers: list[str], rows: list[list], fmt: str, out) -> None:
+def _emit(headers: list[str], rows: Iterable[Sequence], fmt: str, out) -> None:
     if fmt == "csv":
         out.write(",".join(headers) + "\n")
         for row in rows:
@@ -142,17 +143,15 @@ def _cmd_seq(args, out) -> int:
 
 
 def _cmd_table(args, out) -> int:
-    rows = []
     if args.kind == "sdiff":
+        rows = []
         for n in range(1, args.nmax + 1):
             for m in range(1, n + 1):
                 rows.append([n, m, sdiff(n, m, args.r)])
         _emit(["n", "m", "value"], rows, args.format, out)
     else:
-        rec = atom(args.rec, args.nmax)
-        table = digraphs.digraph_table(rec, args.nmax)
-        for i, j, c in table.cells():
-            rows.append([i, j, c])
+        table = digraphs.digraph_rows(atom(args.rec, args.nmax), args.nmax)
+        rows = ([i, j, c] for i, row in enumerate(table) for j, c in enumerate(row))
         _emit(["i", "j", "value"], rows, args.format, out)
     return EXIT_OK
 

@@ -247,12 +247,15 @@ def classify(f: Endofunction) -> DigraphProfile:
 
 
 def compose_power(f: Endofunction, k: int) -> Endofunction:
-    """The k-fold composition of f with itself (k >= 1)."""
+    """The k-fold composition of f with itself (k >= 1), by repeated
+    squaring: O(n log k) steps."""
     if k < 1:
         raise ValueError("composition power must be at least 1")
     g = f
-    for _ in range(k - 1):
-        g = tuple(f[v - 1] for v in g)
+    for bit in bin(k)[3:]:  # the bits of k after the leading 1
+        g = tuple(g[v - 1] for v in g)
+        if bit == "1":
+            g = tuple(f[v - 1] for v in g)
     return g
 
 

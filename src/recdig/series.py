@@ -5,7 +5,8 @@ class of structures (sets, cycles, permutations, ballots, ...), always as
 exact integers.  Operations mirror the corresponding constructions on
 labeled classes: disjoint union is entrywise sum, labeled product is a
 binomial convolution, substitution and logarithm are computed by
-division-free recurrences so every intermediate stays an integer.
+division-free recurrences so every intermediate stays an integer.  All
+three are binomial convolutions, summed by _binomial_dot over pascal_rows.
 
 Sequences that can carry negative entries (logarithms, formal inverses,
 differences) are first class but must be tagged ``virtual``.
@@ -14,7 +15,6 @@ differences) are first class but must be tagged ``virtual``.
 from __future__ import annotations
 
 from itertools import accumulate, islice
-from math import comb
 from operator import add, mul
 from typing import Iterator
 
@@ -83,12 +83,13 @@ class CoeffSeq(Record, compare=("counts",)):
         )
 
     def __mul__(self, other: "CoeffSeq") -> "CoeffSeq":
-        """Labeled product: binomial convolution of the counts."""
+        """Labeled product: binomial convolution of the counts,
+        c[n] = sum_k binom(n, k) * a[k] * b[n-k], row n of pascal_rows."""
         same_truncation(self, other, "product")
         a, b = self.counts, other.counts
         counts = tuple(
-            sum(comb(n, k) * a[k] * b[n - k] for k in range(n + 1))
-            for n in range(len(a))
+            _binomial_dot(row, a, b, n)
+            for n, row in enumerate(pascal_rows(len(a) - 1))
         )
         return CoeffSeq(counts, virtual=self.virtual or other.virtual)
 
@@ -142,8 +143,8 @@ class CoeffSeq(Record, compare=("counts",)):
 
         Uses the derivative identity (F o G)' = G' * (F' o G): the arrays
         u_m = counts of F^(m) o G are built from m = N down to 0, each one
-        degree by degree from the previous.  Only integer multiplications
-        and additions are performed.
+        from the previous as u_m[n+1] = (G' * u_{m+1})[n] over pascal_rows.
+        Only integer multiplications and additions are performed.
         """
         same_truncation(self, inner, "composition")
         g = inner.counts
@@ -153,33 +154,30 @@ class CoeffSeq(Record, compare=("counts",)):
             )
         f = self.counts
         big = len(f) - 1
+        dg = g[1:]
+        binom = list(islice(pascal_rows(big), big))
         u = [f[big]]
         for m in range(big - 1, -1, -1):
-            prev = u
-            size = big - m
-            cur = [f[m]] + [0] * size
-            for n in range(size):
-                cur[n + 1] = sum(
-                    comb(n, k) * g[k + 1] * prev[n - k] for k in range(n + 1)
-                )
-            u = cur
+            u = [f[m]] + [
+                _binomial_dot(row, dg, u, n)
+                for n, row in enumerate(binom[: big - m])
+            ]
         return CoeffSeq(tuple(u), virtual=self.virtual or inner.virtual)
 
     def log(self) -> "CoeffSeq":
         """The sequence g with E(g) equal to self; tagged virtual.
 
         Solved from the convolution a' = g' * a, i.e.
-        g[n+1] = a[n+1] - sum_{k<n} binom(n,k) g[k+1] a[n-k].
+        g[n+1] = a[n+1] - sum_{k<n} binom(n,k) g[k+1] a[n-k] over pascal_rows.
         """
         a = self.counts
         if a[0] != 1:
             raise LogarithmDomainError("logarithm needs count 1 on the empty set")
-        g = [0] * len(a)
-        for n in range(len(a) - 1):
-            g[n + 1] = a[n + 1] - sum(
-                comb(n, k) * g[k + 1] * a[n - k] for k in range(n)
-            )
-        return CoeffSeq(tuple(g), virtual=True)
+        big = len(a) - 1
+        dg = []
+        for n, row in enumerate(islice(pascal_rows(big), big)):
+            dg.append(a[n + 1] - _binomial_dot(row, dg, a, n))
+        return CoeffSeq((0, *dg), virtual=True)
 
 
 # -- the atom catalogue ----------------------------------------------------
@@ -200,6 +198,12 @@ def pascal_rows(nmax: int) -> Iterator[list[int]]:
     for _ in range(nmax):
         row = [1] + list(map(add, row, row[1:])) + [1]
         yield row
+
+
+def _binomial_dot(row: list[int], a, b, n: int) -> int:
+    """sum_k row[k] * a[k] * b[n-k] over k <= n that row and a both reach;
+    size n of the labeled product when row = binom(n, 0..n)."""
+    return sum(map(mul, row, map(mul, a, b[n::-1])))
 
 
 def _fubini_counts(nmax: int) -> list[int]:

@@ -10,7 +10,7 @@ merging the sorts back into one label set.
 from __future__ import annotations
 
 from itertools import accumulate
-from math import comb, gcd
+from math import gcd
 from operator import add, mul
 from typing import Iterable, Sequence
 
@@ -54,12 +54,6 @@ class CoeffTable(Record, compare=("rows",)):
         i, j = key
         return self.rows[i][j]
 
-    def cells(self):
-        """Iterate (i, j, count) over the triangle, row by row."""
-        for i, row in enumerate(self.rows):
-            for j, c in enumerate(row):
-                yield i, j, c
-
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -95,24 +89,17 @@ class CoeffTable(Record, compare=("rows",)):
         return CoeffTable(rows, virtual=True)
 
     def __mul__(self, other: "CoeffTable") -> "CoeffTable":
-        """Labeled product, a binomial convolution in both sorts."""
+        """Labeled product, a binomial convolution in both sorts: each cell
+        is _product_cell, with binomials from pascal_rows."""
         same_truncation(self, other, "product")
         n = self.truncation
         a, b = self.rows, other.rows
-        rows = []
-        for i in range(n + 1):
-            row = []
-            for j in range(n + 1 - i):
-                s = 0
-                for p in range(i + 1):
-                    bi = comb(i, p)
-                    for q in range(j + 1):
-                        av = a[p][q]
-                        if av:
-                            s += bi * comb(j, q) * av * b[i - p][j - q]
-                row.append(s)
-            rows.append(tuple(row))
-        return CoeffTable(tuple(rows), virtual=self.virtual or other.virtual)
+        binom = list(pascal_rows(n))
+        rows = tuple(
+            tuple(_product_cell(a, b, binom, i, j) for j in range(n + 1 - i))
+            for i in range(n + 1)
+        )
+        return CoeffTable(rows, virtual=self.virtual or other.virtual)
 
     # -- per-sort operators --------------------------------------------------
 
@@ -198,7 +185,8 @@ def merge_sorts(
 
 
 def _product_cell(g, z, binom, i: int, j: int) -> int:
-    """Cell (i, j) of the labeled product G * Z, reading Z up to degree
+    """Cell (i, j) of the labeled product G * Z with binomials from the Pascal
+    rows ``binom``, skipping the zero cells of G.  It reads Z up to degree
     i + j, and below it when G[0][0] is 0."""
     s = 0
     bj = binom[j]

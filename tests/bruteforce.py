@@ -5,6 +5,7 @@ very trusted routes used to freeze expected values.
 """
 
 from itertools import permutations, product
+from math import comb, factorial
 
 
 def set_partitions(n):
@@ -61,8 +62,6 @@ def r_stirling_brute(n, m, r):
 
 
 def ordered_set_partition_count(n):
-    from math import factorial
-
     return sum(
         factorial(len(blocks)) for blocks in set_partitions(n)
     )
@@ -86,3 +85,65 @@ def cayley_by_rejection(n):
     if n == 0:
         out.add(())
     return out
+
+
+def labeled_product(a, b):
+    """Binomial convolution c[n] = sum_k C(n, k) a[k] b[n-k] of two equally
+    long count lists, binomials from math.comb."""
+    return [
+        sum(comb(n, k) * a[k] * b[n - k] for k in range(n + 1))
+        for n in range(len(a))
+    ]
+
+
+def _labeled_powers(u, mmax):
+    """u^0, u^1, ..., u^mmax under the labeled product."""
+    powers = [[1] + [0] * (len(u) - 1)]
+    for _ in range(mmax):
+        powers.append(labeled_product(powers[-1], u))
+    return powers
+
+
+def labeled_compose(f, g):
+    """F(G) as the sum of divided powers sum_m f[m] (G^m)[n] / m!, for g[0]
+    = 0 (then m! divides (G^m)[n], which counts ordered m-tuples of
+    nonempty blocks)."""
+    assert g[0] == 0
+    out = [0] * len(f)
+    for m, gm in enumerate(_labeled_powers(g, len(f) - 1)):
+        for n, c in enumerate(gm):
+            q, r = divmod(f[m] * c, factorial(m))
+            assert r == 0
+            out[n] += q
+    return out
+
+
+def labeled_log(a):
+    """log(A) for a[0] = 1 from the series log(1 + U) = sum_{m>=1}
+    (-1)^(m-1) U^m / m with U = A - 1."""
+    assert a[0] == 1
+    u = [0] + list(a[1:])
+    out = [0] * len(a)
+    for m, um in enumerate(_labeled_powers(u, len(a) - 1)[1:], 1):
+        for n, c in enumerate(um):
+            q, r = divmod(c, m)
+            assert r == 0
+            out[n] += (-1) ** (m - 1) * q
+    return out
+
+
+def labeled_table_product(a, b):
+    """Two-sort binomial convolution of triangular tables a[i][j], i + j
+    <= N: sum_{p,q} C(i, p) C(j, q) a[p][q] b[i-p][j-q]."""
+    n = len(a) - 1
+    return [
+        [
+            sum(
+                comb(i, p) * comb(j, q) * a[p][q] * b[i - p][j - q]
+                for p in range(i + 1)
+                for q in range(j + 1)
+            )
+            for j in range(n + 1 - i)
+        ]
+        for i in range(n + 1)
+    ]

@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -186,6 +187,20 @@ def test_internal_errors_exit_4_and_mismatches_exit_1(monkeypatch, capsys):
     rc, out = run(["verify", "--nmax", "3"])
     assert rc == 1
     assert "MISMATCH" in out
+
+
+def test_idempotent_power_is_not_linear_in_k(child_env):
+    # 10**12 = 4 (mod 6) and 4 >= 2, the longest tail on [3], so f^k = f
+    # exactly when f^4 = f.  A loop of k - 1 compositions would not end.
+    argv = ["count", "--n", "3", "--class"]
+    start = time.perf_counter()
+    big = subprocess.run(
+        [sys.executable, "-m", "recdig.cli", *argv, "idempotent:1000000000000"],
+        capture_output=True, text=True, env=child_env, timeout=30,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert big.returncode == 0
+    assert (0, big.stdout) == run(argv + ["idempotent:4"])
 
 
 def test_usage_error_exit_code():

@@ -202,6 +202,15 @@ def test_compose_power_and_idempotency_order():
         oracle.compose_power(ident, 0)
 
 
+def test_compose_power_matches_plain_loop():
+    # Repeated squaring against k - 1 plain compositions, every map of [4].
+    for f in product(range(1, 5), repeat=4):
+        g = f
+        for k in range(1, 13):
+            assert oracle.compose_power(f, k) == g, (f, k)
+            g = tuple(f[v - 1] for v in g)
+
+
 def test_class_predicate_validation():
     with pytest.raises(ValueError):
         oracle.ClassPredicate("bogus")
