@@ -138,7 +138,7 @@ def _cmd_seq(args, out) -> int:
     model = "endofunctions" if args.family == "end" else "cayley"
     rec = digraphs.recurrent_structure_for_class(klass, args.nmax)
     counts = digraphs.count_sequence(rec, args.nmax, model)
-    _emit(["n", "count"], list(enumerate(counts)), args.format, out)
+    _emit(["n", "count"], enumerate(counts), args.format, out)
     return EXIT_OK
 
 

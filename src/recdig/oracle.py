@@ -11,20 +11,24 @@ deterministic, so streamed output is reproducible:
 Default size budgets keep runs at desk scale: n <= 8 for endofunctions
 (8^8 is about 1.7e7) and n <= 9 for Cayley permutations (7,087,261 maps).
 
-Every map is visited and classified, and each costs little.
-`classify` finds the cycles with one stamped walk per start node, which
-gives the recurrent set and the cycle lengths in one linear pass.
+Every map is visited, and each class is decided from the map alone by
+reading only what the class needs: one scan for a fixed point, the image
+size, or the cycles.  One stamped walk per start node finds the cycles,
+which gives the recurrent set and the cycle lengths in one linear pass.
+`classify` builds the full profile of a map, which no count needs.
 `enumerate_cayley` walks an explicit stack of prefixes and emits the
 completions of each prefix as one block: a product, the permutations of
 the missing values, or a memoized list of short tails.
-On a 2 vCPU Xeon under Python 3.11.7 that is 97k-117k classified maps/s
-(Cayley maps of [7], with a class test) and 3.9M-4.3M enumerated Cayley
-maps/s at n = 8, in two runs.
+On a 2 vCPU Xeon under Python 3.11.7, over the Cayley maps of [7], a class
+test runs at 0.26M-0.28M maps/s (indegree_bounded:2, the slowest) to
+1.0M-1.2M maps/s (derangement), and `classify` 106k-118k maps/s; Cayley
+maps are enumerated at 3.9M-4.3M maps/s at n = 8.  Each range is two runs.
 """
 
 from __future__ import annotations
 
 from itertools import chain, permutations, product
+from operator import eq
 from typing import Iterable, Iterator, NamedTuple
 
 from recdig._record import Record
@@ -164,19 +168,34 @@ class DigraphProfile(NamedTuple):
 
     @property
     def is_connected(self) -> bool:
-        return len(self.cycle_lengths) == 1
+        return _is_connected(self.cycle_lengths)
 
     @property
     def is_forest(self) -> bool:
-        return all(c == 1 for c in self.cycle_lengths)
+        return _is_forest(self.cycle_lengths)
 
     @property
     def is_tree(self) -> bool:
-        return self.is_connected and self.is_forest
+        return _is_tree(self.cycle_lengths)
 
     @property
     def is_derangement(self) -> bool:
         return 1 not in self.cycle_lengths
+
+
+# The rules on cycle lengths that both DigraphProfile and ClassPredicate read.
+
+
+def _is_connected(lengths) -> bool:
+    return len(lengths) == 1
+
+
+def _is_forest(lengths) -> bool:
+    return lengths.count(1) == len(lengths)
+
+
+def _is_tree(lengths) -> bool:
+    return _is_connected(lengths) and _is_forest(lengths)
 
 
 def _cycles(f: Endofunction) -> tuple[list[int], list[int]]:
@@ -221,13 +240,10 @@ def recurrent_points(f: Endofunction) -> frozenset[int]:
     return frozenset(_cycles(f)[0])
 
 
-def classify(f: Endofunction) -> DigraphProfile:
-    """Classify a functional digraph; depends only on the value tuple."""
-    n = len(f)
-    image = frozenset(f)
-    points, lengths = _cycles(f)
-    lengths.sort()
-    indeg = [0] * (n + 1)
+def _indegree_maxima(f: Endofunction, points: list[int]) -> tuple[int, int]:
+    """The largest indegree of a recurrent point of f and of any other node,
+    given the recurrent points."""
+    indeg = [0] * (len(f) + 1)
     for v in f:
         indeg[v] += 1
     max_rec = 0
@@ -235,14 +251,28 @@ def classify(f: Endofunction) -> DigraphProfile:
         if indeg[u] > max_rec:
             max_rec = indeg[u]
         indeg[u] = 0  # what is left are the nonrecurrent indegrees
+    return max_rec, max(indeg)
+
+
+def _is_cayley(f: Endofunction, image) -> bool:
+    """Whether the image of f, a set, is exactly [k] for some k."""
+    return max(f, default=0) == len(image)
+
+
+def classify(f: Endofunction) -> DigraphProfile:
+    """The full profile of a functional digraph; depends only on the value
+    tuple.  Class membership does not need it: ClassPredicate.matches reads
+    only what each class needs."""
+    image = frozenset(f)
+    points, lengths = _cycles(f)
+    lengths.sort()
     return DigraphProfile(
-        n,
+        len(f),
         image,
         frozenset(points),
         tuple(lengths),
-        max_rec,
-        max(indeg),
-        max(f, default=0) == len(image),
+        *_indegree_maxima(f, points),
+        _is_cayley(f, image),
     )
 
 
@@ -290,28 +320,33 @@ class ClassPredicate(Record):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "param", param)
 
-    def matches(self, f: Endofunction, profile: DigraphProfile | None) -> bool:
-        """Whether f is in the class; profile is classify(f), or None for
-        all and idempotent, which never read it."""
+    def matches(
+        self, f: Endofunction, profile: DigraphProfile | None = None
+    ) -> bool:
+        """Whether f is in the class, decided from f alone.
+
+        Each class reads only what it needs: one scan for a fixed point, the
+        image size, the cycle lengths, or the recurrent points and one
+        indegree count.  profile is accepted for callers that pass
+        classify(f) and never read.
+        """
         if self.name == "all":
             return True
+        if self.name == "derangement":
+            return not any(map(eq, f, range(1, len(f) + 1)))
+        if self.name == "cayley":
+            return _is_cayley(f, set(f))
+        if self.name == "tree":
+            return _is_tree(_cycles(f)[1])
+        if self.name == "forest":
+            return _is_forest(_cycles(f)[1])
+        if self.name == "connected":
+            return _is_connected(_cycles(f)[1])
         if self.name == "idempotent":
             return compose_power(f, self.param) == f
-        if self.name == "cayley":
-            return profile.is_cayley
-        if self.name == "tree":
-            return profile.is_tree
-        if self.name == "forest":
-            return profile.is_forest
-        if self.name == "connected":
-            return profile.is_connected
-        if self.name == "derangement":
-            return profile.is_derangement
         if self.name == "indegree_bounded":
-            return (
-                profile.max_indegree_recurrent <= self.param + 1
-                and profile.max_indegree_nonrecurrent <= self.param
-            )
+            max_rec, max_nonrec = _indegree_maxima(f, _cycles(f)[0])
+            return max_rec <= self.param + 1 and max_nonrec <= self.param
         raise AssertionError(self.name)
 
 
@@ -327,13 +362,15 @@ def count(
     predicate: ClassPredicate,
     override_budget: bool = False,
 ) -> int:
-    """Exact count of maps in the class, by exhaustive enumeration."""
+    """Exact count of maps in the class, by exhaustive enumeration.
+
+    The class is decided per map from f by ClassPredicate.matches, which
+    reads only what the class needs; no map gets the full classify profile.
+    """
     maps = enumerate_maps(n, model, override_budget)
     if predicate.name == "all":
         return sum(1 for _ in maps)
-    if predicate.name == "idempotent":
-        return sum(predicate.matches(f, None) for f in maps)
-    return sum(predicate.matches(f, classify(f)) for f in maps)
+    return sum(map(predicate.matches, maps))
 
 
 def count_table(
@@ -346,16 +383,16 @@ def count_table(
     """Counts bucketed by (internal, leaves) or (internal, leaves, recurrent).
 
     Only nonzero buckets appear in the result.  Over the cayley model with
-    keys (i, j) this is the independent check of every digraph table.
+    keys (i, j) this is the independent check of every digraph table.  As in
+    `count`, the class is decided per map from f; a map in it is keyed by its
+    image size and, for "ijr", by its number of recurrent points, never by
+    the full classify profile.
     """
     if by not in ("ij", "ijr"):
         raise ValueError("by must be 'ij' or 'ijr'")
     table: dict[tuple[int, ...], int] = {}
-    for f in enumerate_maps(n, model, override_budget):
-        profile = classify(f)
-        if not predicate.matches(f, profile):
-            continue
-        i = profile.internal_count
-        key = (i, n - i) if by == "ij" else (i, n - i, profile.recurrent_count)
+    for f in filter(predicate.matches, enumerate_maps(n, model, override_budget)):
+        i = len(set(f))
+        key = (i, n - i) if by == "ij" else (i, n - i, len(_cycles(f)[0]))
         table[key] = table.get(key, 0) + 1
     return table

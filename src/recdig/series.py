@@ -155,7 +155,7 @@ class CoeffSeq(Record, compare=("counts",)):
         f = self.counts
         big = len(f) - 1
         dg = g[1:]
-        binom = list(islice(pascal_rows(big), big))
+        binom = list(pascal_rows(big - 1))
         u = [f[big]]
         for m in range(big - 1, -1, -1):
             u = [f[m]] + [
@@ -175,7 +175,7 @@ class CoeffSeq(Record, compare=("counts",)):
             raise LogarithmDomainError("logarithm needs count 1 on the empty set")
         big = len(a) - 1
         dg = []
-        for n, row in enumerate(islice(pascal_rows(big), big)):
+        for n, row in enumerate(pascal_rows(big - 1)):
             dg.append(a[n + 1] - _binomial_dot(row, dg, a, n))
         return CoeffSeq((0, *dg), virtual=True)
 
@@ -192,7 +192,10 @@ def _derangement_counts(nmax: int) -> list[int]:
 
 
 def pascal_rows(nmax: int) -> Iterator[list[int]]:
-    """Yield the binomial rows binom(n, 0..n), n = 0..nmax, by Pascal's rule."""
+    """Yield the binomial rows binom(n, 0..n), n = 0..nmax, by Pascal's rule;
+    nothing when nmax < 0."""
+    if nmax < 0:
+        return
     row = [1]
     yield row
     for _ in range(nmax):

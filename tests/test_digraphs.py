@@ -119,6 +119,8 @@ def test_count_sequence_input_errors():
         count_sequence(atom("S", 3), 4, "cayley")
     with pytest.raises(ShapeError):
         digraph_table(atom("S", 3), -1)
+    with pytest.raises(ShapeError):
+        digraph_table_with_branches(atom("S", 0), atom("L", 0), -1)
 
 
 def test_serving_commands_leave_the_closed_form_cold():

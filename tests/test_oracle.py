@@ -240,7 +240,86 @@ def test_indegree_bounded_class():
     # On [2] every map qualifies: indegrees cannot exceed 2.
     assert oracle.count(2, "endofunctions", pred) == 4
     f = (1, 1, 1, 1)  # recurrent node 1 has indegree 4, too many
-    assert not pred.matches(f, oracle.classify(f))
+    assert not pred.matches(f)
+
+
+# Every class, with the parameters 2..4 of idempotent and 1..3 of
+# indegree_bounded, in the order _members_by_profile lists them.
+_EVERY_CLASS = [oracle.parse_class(text) for text in (
+    "all", "cayley", "tree", "forest", "connected", "derangement",
+    "idempotent:2", "idempotent:3", "idempotent:4",
+    "indegree_bounded:1", "indegree_bounded:2", "indegree_bounded:3",
+)]
+
+
+def _members_by_profile(f, p):
+    """Membership of f in each class of _EVERY_CLASS, read from the full
+    profile p = classify(f) by definitions that share no code with
+    ClassPredicate.matches."""
+    powers = [f]  # f^2, f^3, f^4 by plain composition
+    for _ in range(3):
+        powers.append(tuple(f[v - 1] for v in powers[-1]))
+    lengths = p.cycle_lengths
+    rec, nonrec = p.max_indegree_recurrent, p.max_indegree_nonrecurrent
+    return [
+        True,
+        p.image == frozenset(range(1, len(p.image) + 1)),
+        lengths == (1,),
+        set(lengths) <= {1},
+        p.component_count == 1,
+        1 not in lengths,
+        *(g == f for g in powers[1:]),
+        *(rec <= k + 1 and nonrec <= k for k in (1, 2, 3)),
+    ]
+
+
+def test_matches_and_counts_read_no_profile(monkeypatch):
+    # matches(f), given no profile, against membership read from
+    # classify(f), on every map of [n]: endofunctions to n = 6 and the
+    # Cayley maps of [7] (smaller Cayley maps are among the endofunctions).
+    # The same sweep keeps classify-based tables by (i, j, r) to n = 6 for
+    # six classes in both models; count_table and count must then give them
+    # with classify refusing, the pattern of test_idempotent_class_counts.
+    counted = [(_EVERY_CLASS.index(pred), pred) for pred in map(
+        oracle.parse_class, ("cayley", "tree", "forest", "connected",
+                             "derangement", "indegree_bounded:2"),
+    )]
+    want = {}
+    for model, sizes in (("endofunctions", range(7)), ("cayley", (7,))):
+        for n in sizes:
+            for f in oracle.enumerate_maps(n, model):
+                p = oracle.classify(f)
+                members = _members_by_profile(f, p)
+                assert [pred.matches(f) for pred in _EVERY_CLASS] == members, f
+                if n == 7:
+                    continue
+                key = (p.internal_count, p.leaf_count, p.recurrent_count)
+                for in_model in ("endofunctions", "cayley")[: 1 + members[1]]:
+                    for slot, pred in counted:
+                        if members[slot]:
+                            table = want.setdefault((in_model, n, pred), {})
+                            table[key] = table.get(key, 0) + 1
+    # A profile passed in is never read, not even a wrong one.
+    wrong = oracle.classify((1, 1, 1))
+    for f in oracle.enumerate_endofunctions(3):
+        for pred in _EVERY_CLASS:
+            assert pred.matches(f, wrong) == pred.matches(f), (pred, f)
+
+    def refuse(f):
+        raise AssertionError("classify called")
+
+    monkeypatch.setattr(oracle, "classify", refuse)
+    for model in oracle.MODELS:
+        for n in range(7):
+            for _, pred in counted:
+                case = (model, n, pred)
+                ijr = want.get(case, {})
+                ij = {}
+                for (i, j, _), c in ijr.items():
+                    ij[i, j] = ij.get((i, j), 0) + c
+                assert oracle.count_table(n, model, pred, by="ijr") == ijr, case
+                assert oracle.count_table(n, model, pred, by="ij") == ij, case
+                assert oracle.count(n, model, pred) == sum(ij.values()), case
 
 
 def _reference_profile(f):
@@ -348,7 +427,7 @@ def test_enumerate_cayley_checks_budget_at_call_time_and_is_lazy():
 
 
 def test_count_unconstrained_all_does_not_call_matches(monkeypatch):
-    def refuse(self, f, profile):
+    def refuse(self, f, profile=None):
         raise AssertionError("matches called")
 
     monkeypatch.setattr(oracle.ClassPredicate, "matches", refuse)

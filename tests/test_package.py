@@ -1,8 +1,11 @@
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import recdig
+from recdig import oracle
 
 
 def test_every_public_name_imports():
@@ -37,3 +40,22 @@ print(buf.getvalue(), end="")
         {"n": "2", "count": "3"},
         {"n": "3", "count": "13"},
     ]
+
+
+def test_oracle_imports_no_route_it_checks():
+    # The oracle is the independent route: of the package it may import the
+    # record base only, never the code whose counts it checks.
+    modules = set()
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:  # a relative import stays inside the package
+                module = f"recdig.{module}".rstrip(".")
+            if module == "recdig":  # each name may be a submodule
+                modules.update(f"recdig.{alias.name}" for alias in node.names)
+            else:
+                modules.add(module)
+    ours = {m for m in modules if m == "recdig" or m.startswith("recdig.")}
+    assert ours == {"recdig._record"}, sorted(ours)

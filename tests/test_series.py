@@ -8,6 +8,7 @@ from recdig.series import (
     ShapeError,
     UnsupportedAtomError,
     atom,
+    pascal_rows,
 )
 
 FACT = [1, 1, 2, 6, 24, 120, 720, 5040]
@@ -126,6 +127,12 @@ def test_compose():
         atom("E", 3).compose(atom("E", 3))
     with pytest.raises(ShapeError):
         atom("E", 3).compose(atom("X", 4))
+
+
+def test_pascal_rows():
+    assert list(pascal_rows(3)) == [[1], [1, 1], [1, 2, 1], [1, 3, 3, 1]]
+    assert list(pascal_rows(0)) == [[1]]
+    assert list(pascal_rows(-1)) == list(pascal_rows(-5)) == []
 
 
 def test_log():
