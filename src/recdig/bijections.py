@@ -267,36 +267,6 @@ def permuted_forest_to_pointed_tree(p: PermutedForest) -> PointedLeafTree:
 # -- exhaustive enumeration helpers ------------------------------------------
 
 
-def _pruefer_edges(seq: tuple[int, ...], n: int) -> tuple[tuple[int, int], ...]:
-    degree = [1] * (n + 1)
-    for v in seq:
-        degree[v] += 1
-    edges = []
-    leaves = [v for v in range(1, n + 1) if degree[v] == 1]
-    heapq.heapify(leaves)
-    for v in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((min(leaf, v), max(leaf, v)))
-        degree[leaf] -= 1
-        degree[v] -= 1
-        if degree[v] == 1:
-            heapq.heappush(leaves, v)
-    u, v = (x for x in range(1, n + 1) if degree[x] == 1)
-    edges.append((u, v))
-    return tuple(sorted(edges))
-
-
-def labeled_trees(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All n^(n-2) labeled trees on [n] as sorted edge tuples."""
-    if n < 1:
-        return
-    if n == 1:
-        yield ()
-        return
-    for seq in product(range(1, n + 1), repeat=n - 2):
-        yield _pruefer_edges(seq, n)
-
-
 def doubly_rooted_trees(n: int) -> Iterator[DoublyRootedTree]:
     """All doubly-rooted trees on [n]; there are n^n of them."""
     for parent in rooted_parent_maps(n):
@@ -305,31 +275,27 @@ def doubly_rooted_trees(n: int) -> Iterator[DoublyRootedTree]:
 
 
 def rooted_parent_maps(i: int) -> Iterator[tuple[int | None, ...]]:
-    """All i^(i-1) rooted labeled trees on [i], as parent tuples."""
-    for edges in labeled_trees(i):
-        adj: list[list[int]] = [[] for _ in range(i + 1)]
-        for a, b in edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        for root in range(1, i + 1):
-            yield _parents(adj, root)
+    """All i^(i-1) rooted labeled trees on [i], as parent tuples.
 
-
-def _parents(adj: list[list[int]], root: int) -> tuple[int | None, ...]:
-    """Depth-first search from root over the adjacency lists of [n].
-
-    Entry v - 1 is the node from which v was reached, None at the root.
+    Each sequence in [i]^(i-1) is decoded as a rooted Pruefer code: the
+    smallest childless node other than the root is removed, and its parent
+    is the next entry.  The last entry is the root.
     """
-    parent: list[int | None] = [0] * len(adj)
-    parent[root] = None
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if parent[v] == 0:
-                parent[v] = u
-                stack.append(v)
-    return tuple(parent[1:])
+    if i < 1:
+        return
+    nodes = range(1, i + 1)
+    for code in product(nodes, repeat=i - 1):
+        children = [0] * (i + 1)
+        for v in code:
+            children[v] += 1
+        childless = [v for v in nodes if not children[v]]  # sorted: a heap
+        parent: list[int | None] = [None] * (i + 1)
+        for p in code:
+            parent[heapq.heappop(childless)] = p
+            children[p] -= 1
+            if not children[p]:
+                heapq.heappush(childless, p)
+        yield tuple(parent[1:])
 
 
 def two_sort_trees(i: int, j: int) -> Iterator[TwoSortTree]:

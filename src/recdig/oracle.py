@@ -11,18 +11,19 @@ deterministic, so streamed output is reproducible:
 Default size budgets keep runs at desk scale: n <= 8 for endofunctions
 (8^8 is about 1.7e7) and n <= 9 for Cayley permutations (7,087,261 maps).
 
-Every map is visited, and each class is decided from the map alone by
-reading only what the class needs: one scan for a fixed point, the image
-size, or the cycles.  One stamped walk per start node finds the cycles,
-which gives the recurrent set and the cycle lengths in one linear pass.
-`classify` builds the full profile of a map, which no count needs.
+Every map is visited, and `ClassPredicate.matches` alone decides each
+class, from the map and reading only what the class needs: one scan for a
+fixed point, the image size, or the cycles.  One stamped walk per start
+node finds the cycles, which gives the recurrent set and the cycle lengths
+in one linear pass.  `classify` describes the structure of a map (image,
+recurrent points, cycle lengths) and decides no class; no count needs it.
 `enumerate_cayley` walks an explicit stack of prefixes and emits the
 completions of each prefix as one block: a product, the permutations of
 the missing values, or a memoized list of short tails.
 On a 2 vCPU Xeon under Python 3.11.7, over the Cayley maps of [7], a class
-test runs at 0.26M-0.28M maps/s (indegree_bounded:2, the slowest) to
-1.0M-1.2M maps/s (derangement), and `classify` 106k-118k maps/s; Cayley
-maps are enumerated at 3.9M-4.3M maps/s at n = 8.  Each range is two runs.
+test runs at 0.21M-0.22M maps/s (indegree_bounded:2, the slowest) to
+1.0M-1.4M maps/s (derangement), and `classify` 131k-137k maps/s; Cayley
+maps are enumerated at 3.8M maps/s at n = 8.  Each range is two runs.
 """
 
 from __future__ import annotations
@@ -131,24 +132,22 @@ def enumerate_maps(
 
 
 class DigraphProfile(NamedTuple):
-    """Classification of one functional digraph.
+    """The structure of one functional digraph; it decides no class.
 
     Internal nodes are exactly the image of f (positive indegree), leaves
     the rest.  Recurrent points are the nodes on cycles; each weakly
     connected component contains exactly one cycle.  A NamedTuple because
     classify builds one per map and a tuple is the cheapest record to
-    build: a slotted class storing seven fields one by one takes several
-    times as long.  Unlike those classes it equals a plain tuple of the same
-    values; nothing compares it with one.
+    build: a slotted class storing its four fields one by one took about
+    twice as long (1.4 us against 0.65-0.70 us under timeit, 2 vCPU Xeon,
+    Python 3.11.7).  Unlike those classes it equals a plain tuple of the
+    same values; nothing compares it with one.
     """
 
     n: int
     image: frozenset[int]
     recurrent: frozenset[int]
     cycle_lengths: tuple[int, ...]
-    max_indegree_recurrent: int
-    max_indegree_nonrecurrent: int
-    is_cayley: bool
 
     @property
     def internal_count(self) -> int:
@@ -165,37 +164,6 @@ class DigraphProfile(NamedTuple):
     @property
     def component_count(self) -> int:
         return len(self.cycle_lengths)
-
-    @property
-    def is_connected(self) -> bool:
-        return _is_connected(self.cycle_lengths)
-
-    @property
-    def is_forest(self) -> bool:
-        return _is_forest(self.cycle_lengths)
-
-    @property
-    def is_tree(self) -> bool:
-        return _is_tree(self.cycle_lengths)
-
-    @property
-    def is_derangement(self) -> bool:
-        return 1 not in self.cycle_lengths
-
-
-# The rules on cycle lengths that both DigraphProfile and ClassPredicate read.
-
-
-def _is_connected(lengths) -> bool:
-    return len(lengths) == 1
-
-
-def _is_forest(lengths) -> bool:
-    return lengths.count(1) == len(lengths)
-
-
-def _is_tree(lengths) -> bool:
-    return _is_connected(lengths) and _is_forest(lengths)
 
 
 def _cycles(f: Endofunction) -> tuple[list[int], list[int]]:
@@ -240,40 +208,12 @@ def recurrent_points(f: Endofunction) -> frozenset[int]:
     return frozenset(_cycles(f)[0])
 
 
-def _indegree_maxima(f: Endofunction, points: list[int]) -> tuple[int, int]:
-    """The largest indegree of a recurrent point of f and of any other node,
-    given the recurrent points."""
-    indeg = [0] * (len(f) + 1)
-    for v in f:
-        indeg[v] += 1
-    max_rec = 0
-    for u in points:
-        if indeg[u] > max_rec:
-            max_rec = indeg[u]
-        indeg[u] = 0  # what is left are the nonrecurrent indegrees
-    return max_rec, max(indeg)
-
-
-def _is_cayley(f: Endofunction, image) -> bool:
-    """Whether the image of f, a set, is exactly [k] for some k."""
-    return max(f, default=0) == len(image)
-
-
 def classify(f: Endofunction) -> DigraphProfile:
-    """The full profile of a functional digraph; depends only on the value
-    tuple.  Class membership does not need it: ClassPredicate.matches reads
-    only what each class needs."""
-    image = frozenset(f)
+    """The structure of a functional digraph; depends only on the value
+    tuple.  Class membership is decided by ClassPredicate.matches alone."""
     points, lengths = _cycles(f)
     lengths.sort()
-    return DigraphProfile(
-        len(f),
-        image,
-        frozenset(points),
-        tuple(lengths),
-        *_indegree_maxima(f, points),
-        _is_cayley(f, image),
-    )
+    return DigraphProfile(len(f), frozenset(f), frozenset(points), tuple(lengths))
 
 
 def compose_power(f: Endofunction, k: int) -> Endofunction:
@@ -325,29 +265,37 @@ class ClassPredicate(Record):
     ) -> bool:
         """Whether f is in the class, decided from f alone.
 
-        Each class reads only what it needs: one scan for a fixed point, the
-        image size, the cycle lengths, or the recurrent points and one
-        indegree count.  profile is accepted for callers that pass
-        classify(f) and never read.
+        This is the only rule of membership.  Each class reads only what it
+        needs: one scan for a fixed point, the image size, the k-fold
+        composite, or the cycles of one `_cycles` walk.  profile is accepted
+        for callers that pass classify(f) and never read.
         """
-        if self.name == "all":
+        name = self.name
+        if name == "all":
             return True
-        if self.name == "derangement":
+        if name == "derangement":
             return not any(map(eq, f, range(1, len(f) + 1)))
-        if self.name == "cayley":
-            return _is_cayley(f, set(f))
-        if self.name == "tree":
-            return _is_tree(_cycles(f)[1])
-        if self.name == "forest":
-            return _is_forest(_cycles(f)[1])
-        if self.name == "connected":
-            return _is_connected(_cycles(f)[1])
-        if self.name == "idempotent":
+        if name == "cayley":  # the image is exactly [k] for some k
+            return max(f, default=0) == len(set(f))
+        if name == "idempotent":
             return compose_power(f, self.param) == f
-        if self.name == "indegree_bounded":
-            max_rec, max_nonrec = _indegree_maxima(f, _cycles(f)[0])
-            return max_rec <= self.param + 1 and max_nonrec <= self.param
-        raise AssertionError(self.name)
+        points, lengths = _cycles(f)
+        if name == "tree":
+            return lengths == [1]
+        if name == "forest":
+            return lengths.count(1) == len(lengths)
+        if name == "connected":
+            return len(lengths) == 1
+        # indegree_bounded:k allows a recurrent point one more in-edge, the
+        # one from its cycle, than the k children any node may have.
+        indeg = [0] * (len(f) + 1)
+        for v in f:
+            indeg[v] += 1
+        for u in points:
+            if indeg[u] > self.param + 1:
+                return False
+            indeg[u] = 0  # what is left are the nonrecurrent indegrees
+        return max(indeg) <= self.param
 
 
 def parse_class(text: str) -> ClassPredicate:
@@ -365,7 +313,7 @@ def count(
     """Exact count of maps in the class, by exhaustive enumeration.
 
     The class is decided per map from f by ClassPredicate.matches, which
-    reads only what the class needs; no map gets the full classify profile.
+    reads only what the class needs; no map is classified.
     """
     maps = enumerate_maps(n, model, override_budget)
     if predicate.name == "all":
@@ -386,7 +334,7 @@ def count_table(
     keys (i, j) this is the independent check of every digraph table.  As in
     `count`, the class is decided per map from f; a map in it is keyed by its
     image size and, for "ijr", by its number of recurrent points, never by
-    the full classify profile.
+    a classify profile.
     """
     if by not in ("ij", "ijr"):
         raise ValueError("by must be 'ij' or 'ijr'")

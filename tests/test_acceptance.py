@@ -135,17 +135,12 @@ def test_criterion_04_closed_forms():
 def _oracle_class_tables(n):
     class_names = ("all", "tree", "forest", "connected", "derangement")
     tables = {name: {} for name in class_names}
+    preds = [(name, oracle.ClassPredicate(name)) for name in class_names]
     for f in oracle.enumerate_cayley(n):
         p = oracle.classify(f)
         key = (p.internal_count, p.leaf_count)
-        for name, flag in (
-            ("all", True),
-            ("tree", p.is_tree),
-            ("forest", p.is_forest),
-            ("connected", p.is_connected),
-            ("derangement", p.is_derangement),
-        ):
-            if flag:
+        for name, pred in preds:
+            if pred.matches(f):
                 tables[name][key] = tables[name].get(key, 0) + 1
     return tables
 

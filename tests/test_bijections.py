@@ -14,7 +14,6 @@ from recdig.bijections import (
     doubly_rooted_trees,
     endofunction_dot,
     endofunction_to_tree,
-    labeled_trees,
     permuted_forest_to_pointed_tree,
     pointed_leaf_trees,
     pointed_tree_to_permuted_forest,
@@ -69,13 +68,11 @@ def test_empty_map_has_no_tree():
 
 
 def test_doubly_rooted_tree_counts():
-    for n in range(1, 8):
-        assert sum(1 for _ in labeled_trees(n)) == max(1, n ** (n - 2))
-    assert list(labeled_trees(2)) == [((1, 2),)]
+    # n^n trees over Cayley's n^(n-2) distinct labeled edge sets.
     for n in range(1, 6):
         trees = set(doubly_rooted_trees(n))
         assert len(trees) == n**n
-        assert {t.edges for t in trees} == set(labeled_trees(n))
+        assert len({t.edges for t in trees}) == max(1, n ** (n - 2))
 
 
 def test_tree_validation():
@@ -94,7 +91,9 @@ def test_tree_validation():
 
 def test_rooted_parent_maps_count():
     for i in range(1, 7):
-        assert sum(1 for _ in rooted_parent_maps(i)) == i ** (i - 1)
+        assert len(set(rooted_parent_maps(i))) == i ** (i - 1)
+    for i in (0, -1):
+        assert list(rooted_parent_maps(i)) == []
 
 
 def test_two_sort_tree_counts_match_formula():

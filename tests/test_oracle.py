@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -59,6 +60,10 @@ def test_budgets():
         list(oracle.enumerate_maps(2, "nonsense"))
 
 
+def _member(name, f):
+    return oracle.ClassPredicate(name).matches(f)
+
+
 def test_classify_figure_with_three_components():
     f = oracle.check_endofunction(int(c) for c in "985776326459548")
     p = oracle.classify(f)
@@ -67,27 +72,30 @@ def test_classify_figure_with_three_components():
     assert sorted(p.image) == list(range(2, 10))
     assert p.leaf_count == 7 and p.internal_count == 8
     assert p.cycle_lengths == (1, 2, 3)
-    assert not p.is_cayley
-    assert not p.is_derangement
+    # The profile holds structure only; matches alone decides membership.
+    assert p._fields == ("n", "image", "recurrent", "cycle_lengths")
+    assert not _member("cayley", f)
+    assert not _member("derangement", f)
 
 
 def test_classify_single_loop_tree():
     f = oracle.check_endofunction(int(c) for c in "693163933")
     p = oracle.classify(f)
-    assert p.is_connected and p.is_tree and p.is_forest
+    assert _member("connected", f) and _member("tree", f) and _member("forest", f)
     assert sorted(p.recurrent) == [3]
     assert p.cycle_lengths == (1,)
 
 
 def test_classify_identity_and_empty():
     for n in (0, 1, 4):
-        p = oracle.classify(tuple(range(1, n + 1)))
+        f = tuple(range(1, n + 1))
+        p = oracle.classify(f)
         assert p.component_count == n
         assert p.recurrent_count == n
-        assert p.is_forest
-        assert p.is_derangement == (n == 0)
-        assert p.is_cayley
-    assert not oracle.classify(()).is_connected
+        assert _member("forest", f)
+        assert _member("derangement", f) == (n == 0)
+        assert _member("cayley", f)
+    assert not _member("connected", ())
 
 
 def test_classify_depends_only_on_the_map():
@@ -103,8 +111,8 @@ def test_cayley_label_characterization():
         for f in oracle.enumerate_endofunctions(n):
             p = oracle.classify(f)
             expected = p.image == frozenset(range(1, p.internal_count + 1))
-            assert p.is_cayley == expected
-            assert (f in cay) == p.is_cayley
+            assert _member("cayley", f) == expected
+            assert (f in cay) == expected
 
 
 def test_check_endofunction_rejects_bad_values():
@@ -145,36 +153,20 @@ def test_count_table_by_recurrent_size_matches_formulas():
 
 
 def test_counts_match_class_formulas():
-    for klass in ("tree", "forest", "connected", "derangement"):
-        rec_name = {"tree": "X", "forest": "E", "connected": "C",
-                    "derangement": "Der"}[klass]
-        for n in range(6):
-            rec = atom(rec_name, n)
-            assert oracle.count(
-                n, "cayley", oracle.ClassPredicate(klass)
-            ) == cayley_count(n, rec), (klass, n)
-            assert oracle.count(
-                n, "endofunctions", oracle.ClassPredicate(klass)
-            ) == endofunction_count(n, rec), (klass, n)
-
-
-def test_endofunction_class_counts_to_n7_single_pass():
+    # Both models to n = 7, where the endofunctions alone are 823543 maps.
     by_class = {"all": "S", "tree": "X", "forest": "E", "connected": "C",
                 "derangement": "Der"}
-    for n in range(8):
-        totals = dict.fromkeys(by_class, 0)
-        for f in oracle.enumerate_endofunctions(n):
-            p = oracle.classify(f)
-            totals["all"] += 1
-            totals["tree"] += p.is_tree
-            totals["forest"] += p.is_forest
-            totals["connected"] += p.is_connected
-            totals["derangement"] += p.is_derangement
-        for klass, rec_name in by_class.items():
-            assert totals[klass] == endofunction_count(n, atom(rec_name, n)), (
+    for klass, rec_name in by_class.items():
+        pred = oracle.ClassPredicate(klass)
+        for n in range(8):
+            rec = atom(rec_name, n)
+            assert oracle.count(n, "cayley", pred) == cayley_count(n, rec), (
                 klass,
                 n,
             )
+            assert oracle.count(
+                n, "endofunctions", pred
+            ) == endofunction_count(n, rec), (klass, n)
 
 
 def test_compose_power_and_idempotency_order():
@@ -182,7 +174,7 @@ def test_compose_power_and_idempotency_order():
     def order(f, kmax):
         return next(
             (k for k in range(2, kmax + 1)
-             if oracle.ClassPredicate("idempotent", k).matches(f, None)),
+             if oracle.ClassPredicate("idempotent", k).matches(f)),
             None,
         )
 
@@ -253,20 +245,24 @@ _EVERY_CLASS = [oracle.parse_class(text) for text in (
 
 
 def _members_by_profile(f, p):
-    """Membership of f in each class of _EVERY_CLASS, read from the full
-    profile p = classify(f) by definitions that share no code with
-    ClassPredicate.matches."""
+    """Membership of f in each class of _EVERY_CLASS, read from the
+    reference profile p = _reference_profile(f) and an indegree count of
+    its own, by definitions that share no code with the oracle."""
     powers = [f]  # f^2, f^3, f^4 by plain composition
     for _ in range(3):
         powers.append(tuple(f[v - 1] for v in powers[-1]))
     lengths = p.cycle_lengths
-    rec, nonrec = p.max_indegree_recurrent, p.max_indegree_nonrecurrent
+    indeg = Counter(f)
+    rec = max((indeg[v] for v in p.recurrent), default=0)
+    nonrec = max(
+        (indeg[v] for v in range(1, p.n + 1) if v not in p.recurrent), default=0
+    )
     return [
         True,
         p.image == frozenset(range(1, len(p.image) + 1)),
         lengths == (1,),
         set(lengths) <= {1},
-        p.component_count == 1,
+        len(lengths) == 1,
         1 not in lengths,
         *(g == f for g in powers[1:]),
         *(rec <= k + 1 and nonrec <= k for k in (1, 2, 3)),
@@ -274,12 +270,12 @@ def _members_by_profile(f, p):
 
 
 def test_matches_and_counts_read_no_profile(monkeypatch):
-    # matches(f), given no profile, against membership read from
-    # classify(f), on every map of [n]: endofunctions to n = 6 and the
-    # Cayley maps of [7] (smaller Cayley maps are among the endofunctions).
-    # The same sweep keeps classify-based tables by (i, j, r) to n = 6 for
-    # six classes in both models; count_table and count must then give them
-    # with classify refusing, the pattern of test_idempotent_class_counts.
+    # matches(f), given no profile, against membership by definition, on
+    # every map of [n]: endofunctions to n = 6 and the Cayley maps of [7]
+    # (smaller Cayley maps are among the endofunctions).  The same sweep
+    # keeps reference tables by (i, j, r) to n = 6 for six classes in both
+    # models; count_table and count must then give them with classify
+    # refusing, the pattern of test_idempotent_class_counts.
     counted = [(_EVERY_CLASS.index(pred), pred) for pred in map(
         oracle.parse_class, ("cayley", "tree", "forest", "connected",
                              "derangement", "indegree_bounded:2"),
@@ -288,7 +284,7 @@ def test_matches_and_counts_read_no_profile(monkeypatch):
     for model, sizes in (("endofunctions", range(7)), ("cayley", (7,))):
         for n in sizes:
             for f in oracle.enumerate_maps(n, model):
-                p = oracle.classify(f)
+                p = _reference_profile(f)
                 members = _members_by_profile(f, p)
                 assert [pred.matches(f) for pred in _EVERY_CLASS] == members, f
                 if n == 7:
@@ -299,7 +295,8 @@ def test_matches_and_counts_read_no_profile(monkeypatch):
                         if members[slot]:
                             table = want.setdefault((in_model, n, pred), {})
                             table[key] = table.get(key, 0) + 1
-    # A profile passed in is never read, not even a wrong one.
+    # A profile passed in is never read, not even a wrong one; the
+    # benchmark's probe still passes classify(f).
     wrong = oracle.classify((1, 1, 1))
     for f in oracle.enumerate_endofunctions(3):
         for pred in _EVERY_CLASS:
@@ -342,20 +339,11 @@ def _reference_profile(f):
                 v = f[v - 1]
                 length += 1
             lengths.append(length)
-    indeg = [0] * (n + 1)
-    for v in f:
-        indeg[v] += 1
-    image = frozenset(v for v in range(1, n + 1) if indeg[v])
     return oracle.DigraphProfile(
         n=n,
-        image=image,
+        image=frozenset(f),
         recurrent=frozenset(recurrent),
         cycle_lengths=tuple(sorted(lengths)),
-        max_indegree_recurrent=max((indeg[v] for v in recurrent), default=0),
-        max_indegree_nonrecurrent=max(
-            (indeg[v] for v in range(1, n + 1) if v not in recurrent), default=0
-        ),
-        is_cayley=image == frozenset(range(1, len(image) + 1)),
     )
 
 
@@ -382,15 +370,20 @@ def test_classify_matches_reference_on_random_maps():
     for _ in range(200):
         n = rng.randint(1, 200)
         f = tuple(rng.randint(1, n) for _ in range(n))
-        assert oracle.classify(f) == _reference_profile(f), f
-        assert oracle.recurrent_points(f) == _reference_profile(f).recurrent
+        ref = _reference_profile(f)
+        assert oracle.classify(f) == ref, f
+        assert oracle.recurrent_points(f) == ref.recurrent
+        assert [p.matches(f) for p in _EVERY_CLASS] == _members_by_profile(f, ref)
 
 
 @pytest.mark.parametrize("shape", [_chain, _star, _single_cycle])
 def test_classify_matches_reference_on_extreme_shapes(shape):
     for n in (1, 2, 3, 10, 100, 1000, 5000):
         f = shape(n)
-        assert oracle.classify(f) == _reference_profile(f), (shape.__name__, n)
+        ref = _reference_profile(f)
+        assert oracle.classify(f) == ref, (shape.__name__, n)
+        members = _members_by_profile(f, ref)
+        assert [p.matches(f) for p in _EVERY_CLASS] == members, (shape.__name__, n)
 
 
 def test_classify_long_chain_is_linear():

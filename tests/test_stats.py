@@ -123,11 +123,11 @@ def test_cycle_totals_against_oracle():
 
 def test_forest_component_totals_against_oracle():
     e = atom("E", 5)
+    forest = oracle.ClassPredicate("forest")
     for n in range(6):
         want = sum(
-            p.component_count
-            for p in map(oracle.classify, oracle.enumerate_cayley(n))
-            if p.is_forest
+            oracle.classify(f).component_count
+            for f in filter(forest.matches, oracle.enumerate_cayley(n))
         )
         assert total_components_cayley(n, e.truncate(n)) == want
 
@@ -139,20 +139,15 @@ def test_statistic_totals_per_class_to_n7_single_pass():
     classes = ("all", "tree", "forest", "connected", "derangement")
     rec_names = {"all": "S", "tree": "X", "forest": "E", "connected": "C",
                  "derangement": "Der"}
+    preds = [(klass, oracle.ClassPredicate(klass)) for klass in classes]
     for n in range(8):
         rec_total = dict.fromkeys(classes, 0)
         comp_total = dict.fromkeys(classes, 0)
         struct_total = dict.fromkeys(classes, 0)
         for f in oracle.enumerate_cayley(n):
             p = oracle.classify(f)
-            for klass, flag in (
-                ("all", True),
-                ("tree", p.is_tree),
-                ("forest", p.is_forest),
-                ("connected", p.is_connected),
-                ("derangement", p.is_derangement),
-            ):
-                if flag:
+            for klass, pred in preds:
+                if pred.matches(f):
                     rec_total[klass] += p.recurrent_count
                     comp_total[klass] += p.component_count
                     struct_total[klass] += 1
