@@ -144,10 +144,11 @@ def _cmd_seq(args, out) -> int:
 
 def _cmd_table(args, out) -> int:
     if args.kind == "sdiff":
-        rows = []
-        for n in range(1, args.nmax + 1):
-            for m in range(1, n + 1):
-                rows.append([n, m, sdiff(n, m, args.r)])
+        rows = (
+            [n, m, sdiff(n, m, args.r)]
+            for n in range(1, args.nmax + 1)
+            for m in range(1, n + 1)
+        )
         _emit(["n", "m", "value"], rows, args.format, out)
     else:
         table = digraphs.digraph_rows(atom(args.rec, args.nmax), args.nmax)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from math import factorial, perm
 from operator import mul
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from recdig.series import CoeffSeq, ShapeError, atom, pascal_rows
 from recdig.stirling import sdiff
@@ -189,6 +189,61 @@ def cayley_tree_count(n: int) -> int:
 # -- generalized branches ------------------------------------------------------
 
 
+def _branch_tail(t: Sequence[int], nmax: int) -> tuple[int, tuple[int, ...]]:
+    """The first-order tail (a, nu) of the branch counts t[0..nmax].
+
+    nu[m] = t[m] - a * m * t[m-1] are the counts of (1 - a*x) * T, cut
+    after their last nonzero entry.  a is t[N] / (N * t[N-1]), N = nmax,
+    when that division is exact and nonzero and the cut nu is shorter than
+    the cut t; otherwise a = 0 and nu is t cut.
+    """
+
+    def cut(counts: Sequence[int]) -> tuple[int, ...]:
+        end = len(counts)
+        while end and not counts[end - 1]:
+            end -= 1
+        return tuple(counts[:end])
+
+    t = t[: nmax + 1]
+    plain = cut(t)
+    if nmax >= 1 and t[nmax - 1]:
+        a, rem = divmod(t[nmax], nmax * t[nmax - 1])
+        if a and not rem:
+            nu = cut([t[0]] + [t[m] - a * m * t[m - 1] for m in range(1, nmax + 1)])
+            if len(nu) < len(plain):
+                return a, nu
+    return 0, plain
+
+
+def _branch_rows(
+    r: Sequence[int], a: int, nu: tuple[int, ...], nmax: int
+) -> tuple[tuple[int, ...], ...]:
+    """Rows of the branch table from R's counts and the tail (a, nu).
+
+    The table is kept as columns and filled row by row.  Row i prepares
+    its weights binom(i, m) * nu[i-m] * m for the rows m = i-e..i (m >= 1)
+    once from a Pascal row; then each c[i][j+1] is a * i * c[i-1][j+1],
+    the last cell of column j+1, plus one dot product of the weights with
+    the bottom e+1 cells of column j.
+    """
+    e = len(nu) - 1
+    cols: list[list[int]] = [[] for _ in range(nmax + 1)]
+    for i, binom in enumerate(pascal_rows(nmax)):
+        low = max(1, i - e)
+        weights = [binom[m] * nu[i - m] * m for m in range(low, i + 1)]
+        ai = a * i
+        cell = r[i]
+        for col, nxt in zip(cols[: nmax - i], cols[1:]):
+            col.append(cell)
+            cell = sum(map(mul, weights, col[low:]))
+            if ai:
+                cell += ai * nxt[-1]
+        cols[nmax - i].append(cell)
+    return tuple(
+        tuple(col[i] for col in cols[: nmax + 1 - i]) for i in range(nmax + 1)
+    )
+
+
 def digraph_table_with_branches(
     rec: CoeffSeq, branch: CoeffSeq, nmax: int
 ) -> CoeffTable:
@@ -198,31 +253,33 @@ def digraph_table_with_branches(
     ending in a new leaf) to a distinguished internal node.  At coefficient
     level, adding one leaf convolves T against the pointed table:
 
-        c[i][j+1] = sum_k binom(i, k) * T[k] * (i - k) * c[i-k][j]
+        c[i][j+1] = sum_m binom(i, m) * T[m] * (i - m) * c[i-m][j]
 
     with c[i][0] = R[i].  For T = linear orders this reproduces
     digraph_table exactly.
 
-    The table is kept as columns and filled row by row.  Row i prepares
-    its weights binom(i, k) * T[k] * (i - k), k = i-1..0, once from a
-    Pascal row; then each c[i][j+1] is one dot product of them with
-    c[1..i][j], the top of column j.  Beside the table only one row's
-    weights are held.
+    In column generating functions this reads C_{j+1} = T * x * C_j'.
+    Multiplying by (1 - a*x) and moving a*x*C_{j+1} to the right gives
+    C_{j+1} = a*x*C_{j+1} + nu * x * C_j' with nu = (1 - a*x) * T, so
+
+        c[i][j+1] = a * i * c[i-1][j+1]
+                    + sum_{m <= e} binom(i, m) * nu[m] * (i - m) * c[i-m][j]
+
+    where nu[m] = T[m] - a * m * T[m-1] and e is the last m with
+    nu[m] != 0.  It is an identity of power series, exact for every
+    integer a; a = 0 is the plain convolution.  a is read off the branch
+    counts (_branch_tail), so each cell costs e + 2 products and the table
+    O((e + 1) * nmax^2):
+
+    * L and S (a = 1, nu = 1) and L+ and S+ (a = 1, nu = x): O(nmax^2);
+    * bounded-size classes (1, X, E_r, S_r and their sums; a = 0): e is
+      their largest size, so also O(nmax^2);
+    * E, C, Der, Bal, Par and other classes with no such a (a = 0,
+      e = nmax): the full convolution, O(nmax^3).
     """
     _need_truncation(rec, nmax, "digraph_table_with_branches")
     _need_truncation(branch, nmax, "digraph_table_with_branches")
-    t = branch.counts
-    cols = [[] for _ in range(nmax + 1)]
-    for i, binom in enumerate(pascal_rows(nmax)):
-        weights = [bm * t[i - m] * m for m, bm in enumerate(binom[1:], 1)]
-        cell = rec.counts[i]
-        for col in cols[: nmax - i]:
-            col.append(cell)
-            cell = sum(map(mul, weights, col[1:]))
-        cols[nmax - i].append(cell)
-    rows = tuple(
-        tuple(col[i] for col in cols[: nmax + 1 - i]) for i in range(nmax + 1)
-    )
+    rows = _branch_rows(rec.counts, *_branch_tail(branch.counts, nmax), nmax)
     return CoeffTable(rows, virtual=rec.virtual or branch.virtual)
 
 

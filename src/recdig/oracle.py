@@ -241,6 +241,8 @@ CLASS_NAMES = (
 )
 # The least parameter k of each class that takes one; the others take none.
 CLASS_PARAM_MIN = {"idempotent": 2, "indegree_bounded": 1}
+# The classes whose rule in ClassPredicate.matches reads the cycles of f.
+_CYCLE_CLASSES = frozenset({"tree", "forest", "connected", "indegree_bounded"})
 
 
 class ClassPredicate(Record):
@@ -261,14 +263,20 @@ class ClassPredicate(Record):
         object.__setattr__(self, "param", param)
 
     def matches(
-        self, f: Endofunction, profile: DigraphProfile | None = None
+        self,
+        f: Endofunction,
+        profile: DigraphProfile | None = None,
+        *,
+        cycles: tuple[list[int], list[int]] | None = None,
     ) -> bool:
         """Whether f is in the class, decided from f alone.
 
         This is the only rule of membership.  Each class reads only what it
         needs: one scan for a fixed point, the image size, the k-fold
-        composite, or the cycles of one `_cycles` walk.  profile is accepted
-        for callers that pass classify(f) and never read.
+        composite, or the cycles of one `_cycles` walk.  A caller that has
+        already walked f passes that walk as cycles, which is read only by
+        the classes in _CYCLE_CLASSES.  profile is accepted for callers that
+        pass classify(f) and never read.
         """
         name = self.name
         if name == "all":
@@ -279,7 +287,7 @@ class ClassPredicate(Record):
             return max(f, default=0) == len(set(f))
         if name == "idempotent":
             return compose_power(f, self.param) == f
-        points, lengths = _cycles(f)
+        points, lengths = _cycles(f) if cycles is None else cycles
         if name == "tree":
             return lengths == [1]
         if name == "forest":
@@ -334,13 +342,21 @@ def count_table(
     keys (i, j) this is the independent check of every digraph table.  As in
     `count`, the class is decided per map from f; a map in it is keyed by its
     image size and, for "ijr", by its number of recurrent points, never by
-    a classify profile.
+    a classify profile.  By "ijr" each map is walked at most once: a class
+    in _CYCLE_CLASSES is handed the walk that also gives the recurrent count,
+    and any other class has its members walked after the test.
     """
     if by not in ("ij", "ijr"):
         raise ValueError("by must be 'ij' or 'ijr'")
     table: dict[tuple[int, ...], int] = {}
-    for f in filter(predicate.matches, enumerate_maps(n, model, override_budget)):
-        i = len(set(f))
-        key = (i, n - i) if by == "ij" else (i, n - i, len(_cycles(f)[0]))
-        table[key] = table.get(key, 0) + 1
+    shared = by == "ijr" and predicate.name in _CYCLE_CLASSES
+    for f in enumerate_maps(n, model, override_budget):
+        walk = _cycles(f) if shared else None
+        if predicate.matches(f, cycles=walk):
+            i = len(set(f))
+            if by == "ij":
+                key = (i, n - i)
+            else:
+                key = (i, n - i, len((walk or _cycles(f))[0]))
+            table[key] = table.get(key, 0) + 1
     return table

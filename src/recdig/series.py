@@ -58,7 +58,7 @@ class CoeffSeq(Record, compare=("counts",)):
     def __init__(self, counts: tuple[int, ...], virtual: bool = False):
         if not counts:
             raise ShapeError("a sequence needs at least the size-0 count")
-        if not virtual and any(c < 0 for c in counts):
+        if not virtual and min(counts) < 0:
             raise ValueError(f"negative count in concrete sequence: {counts}")
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "virtual", virtual)

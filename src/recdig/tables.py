@@ -41,7 +41,7 @@ class CoeffTable(Record, compare=("rows",)):
                 raise ShapeError(
                     f"row {i} has {len(row)} entries, expected {n + 1 - i}"
                 )
-        if not virtual and any(c < 0 for row in rows for c in row):
+        if not virtual and min(map(min, rows)) < 0:
             raise ValueError("negative count in concrete table")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "virtual", virtual)

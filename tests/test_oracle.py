@@ -152,6 +152,16 @@ def test_count_table_by_recurrent_size_matches_formulas():
                 ), (i, n - i, r)
 
 
+def test_count_table_by_ijr_walks_each_map_at_most_once(monkeypatch):
+    walked = []
+    walk = oracle._cycles
+    monkeypatch.setattr(oracle, "_cycles", lambda f: walked.append(f) or walk(f))
+    for text in ("forest", "connected", "indegree_bounded:2", "derangement"):
+        walked.clear()
+        table = oracle.count_table(6, "cayley", oracle.parse_class(text), by="ijr")
+        assert len(walked) == len(set(walked)) >= sum(table.values()), text
+
+
 _BY_CLASS = {"all": "S", "tree": "X", "forest": "E", "connected": "C",
              "derangement": "Der"}
 

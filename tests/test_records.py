@@ -162,6 +162,14 @@ def test_constructors_reject_malformed_input(build, error, message):
     assert str(info.value) == message
 
 
+def test_negative_cells_past_the_first_row_are_rejected():
+    for rows in (((1, 0, 2), (3, -1), (0,)), ((1, 0, 2), (3, 0), (-1,))):
+        with pytest.raises(ValueError) as info:
+            CoeffTable(rows)
+        assert str(info.value) == "negative count in concrete table"
+        assert CoeffTable(rows, virtual=True).rows == rows
+
+
 def test_keyword_construction_and_defaults():
     assert CoeffSeq(counts=(1,)).virtual is False
     assert CoeffTable(rows=((1,),)).virtual is False
