@@ -12,9 +12,16 @@ on stderr), 141 stdout closed before the output was written, as by
 SIGPIPE; nothing is printed).
 
 Routes: seq, the formula column of verify, and report asymptotics are
-served by the two-sort table recursion (digraphs.count_sequence); table
-sdiff and check identities use the closed form over Stirling differences;
-count and the oracle column of verify enumerate.
+served by the two-sort table recursion (digraphs.count_sequence), which
+streams: seq writes count n as soon as the sort merge has made it final,
+so ``recdig seq end --nmax 2000 | head`` gets its first lines at once.
+table sdiff and check identities use the closed form over Stirling
+differences; count and the oracle column of verify enumerate.
+
+Each command imports the modules it runs inside its handler, and the
+parser reads its class and model names from their modules only when it
+checks or lists them, so a cold start loads no route a command does not
+run.
 """
 
 from __future__ import annotations
@@ -22,16 +29,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from importlib import import_module
 from typing import Iterable, Sequence
-
-from recdig import digraphs, oracle, stats
-from recdig.bijections import (
-    doubly_rooted_tree_dot,
-    endofunction_dot,
-    endofunction_to_tree,
-)
-from recdig.series import atom
-from recdig.stirling import sdiff
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -40,7 +39,22 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE, as a shell reports it
 
-SEQ_CLASSES = tuple(digraphs.CLASS_RECURRENT_ATOMS)
+
+class _Names:
+    """argparse choices: the names in a module attribute, imported only when
+    the parser checks a value against them or lists them in a message.  They
+    are set on the action that add_argument returns, because add_argument
+    itself lists the choices it is given."""
+
+    def __init__(self, module: str, attr: str):
+        self.module, self.attr = module, attr
+
+    def __iter__(self):
+        return iter(getattr(import_module(self.module), self.attr))
+
+
+SEQ_CLASSES = _Names("recdig.digraphs", "CLASS_RECURRENT_ATOMS")
+MODELS = _Names("recdig.oracle", "MODELS")
 
 
 def _emit(headers: list[str], rows: Iterable[Sequence], fmt: str, out) -> None:
@@ -73,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_seq = sub.add_parser("seq", help="emit a counting sequence")
     p_seq.add_argument("family", choices=("cay", "end", "cayder"))
-    p_seq.add_argument("--class", dest="klass", choices=SEQ_CLASSES, default="all")
+    p_seq.add_argument("--class", dest="klass", default="all").choices = SEQ_CLASSES
     p_seq.add_argument("--nmax", type=nonnegative_int, required=True)
     p_seq.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -94,9 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", help="brute-force counts")
     p_count.add_argument("--n", type=nonnegative_int, required=True)
-    p_count.add_argument(
-        "--model", choices=oracle.MODELS, default="cayley"
-    )
+    p_count.add_argument("--model", default="cayley").choices = MODELS
     p_count.add_argument("--class", dest="klass", default="all")
     p_count.add_argument("--by", choices=("ij", "ijr"), default="ij")
     p_count.add_argument("--override-budget", action="store_true")
@@ -104,8 +116,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="formulas against the oracle")
     p_verify.add_argument("--nmax", type=nonnegative_int, required=True)
-    p_verify.add_argument("--model", choices=oracle.MODELS, default="cayley")
-    p_verify.add_argument("--class", dest="klass", choices=SEQ_CLASSES, default="all")
+    p_verify.add_argument("--model", default="cayley").choices = MODELS
+    p_verify.add_argument("--class", dest="klass", default="all").choices = SEQ_CLASSES
     p_verify.add_argument("--override-budget", action="store_true")
     p_verify.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -134,6 +146,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_seq(args, out) -> int:
+    from recdig import digraphs
+
     klass = "derangement" if args.family == "cayder" else args.klass
     model = "endofunctions" if args.family == "end" else "cayley"
     rec = digraphs.recurrent_structure_for_class(klass, args.nmax)
@@ -144,6 +158,8 @@ def _cmd_seq(args, out) -> int:
 
 def _cmd_table(args, out) -> int:
     if args.kind == "sdiff":
+        from recdig.stirling import sdiff
+
         rows = (
             [n, m, sdiff(n, m, args.r)]
             for n in range(1, args.nmax + 1)
@@ -151,6 +167,9 @@ def _cmd_table(args, out) -> int:
         )
         _emit(["n", "m", "value"], rows, args.format, out)
     else:
+        from recdig import digraphs
+        from recdig.series import atom
+
         table = digraphs.digraph_rows(atom(args.rec, args.nmax), args.nmax)
         rows = ([i, j, c] for i, row in enumerate(table) for j, c in enumerate(row))
         _emit(["i", "j", "value"], rows, args.format, out)
@@ -158,6 +177,8 @@ def _cmd_table(args, out) -> int:
 
 
 def _cmd_count(args, out) -> int:
+    from recdig import oracle
+
     pred = oracle.parse_class(args.klass)
     table = oracle.count_table(
         args.n, args.model, pred, by=args.by, override_budget=args.override_budget
@@ -169,6 +190,8 @@ def _cmd_count(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
+    from recdig import digraphs, oracle
+
     pred = oracle.parse_class(args.klass)
     oracle.check_budget(args.nmax, args.model, args.override_budget)
     rec = digraphs.recurrent_structure_for_class(args.klass, args.nmax)
@@ -196,6 +219,8 @@ def _cmd_verify(args, out) -> int:
 
 
 def _parse_word(word: str, n: int) -> tuple[int, ...]:
+    from recdig import oracle
+
     if "," in word:
         values = tuple(int(p) for p in word.split(","))
     else:
@@ -206,6 +231,13 @@ def _parse_word(word: str, n: int) -> tuple[int, ...]:
 
 
 def _cmd_joyal(args, out) -> int:
+    from recdig import oracle
+    from recdig.bijections import (
+        doubly_rooted_tree_dot,
+        endofunction_dot,
+        endofunction_to_tree,
+    )
+
     f = _parse_word(args.input, args.n)
     tree = endofunction_to_tree(f)
     if args.export == "dot":
@@ -228,6 +260,9 @@ def _cmd_joyal(args, out) -> int:
 
 
 def _cmd_check(args, out) -> int:
+    from recdig import stats
+    from recdig.series import atom
+
     rows = []
     bad = 0
     for label in ("S", "Der"):
@@ -249,6 +284,8 @@ def _cmd_check(args, out) -> int:
 
 
 def _cmd_report(args, out) -> int:
+    from recdig import stats
+
     rows = [
         [r.statistic, r.n, r.numerator, r.denominator, r.ratio, r.reference]
         for r in stats.asymptotics_report(args.nmax)
@@ -284,9 +321,6 @@ def main(argv: list[str] | None = None, out=None) -> int:
         code = handlers[args.command](args, out)
         out.flush()  # a closed stdout pipe fails here, not at interpreter exit
         return code
-    except oracle.BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -296,6 +330,11 @@ def main(argv: list[str] | None = None, out=None) -> int:
             # interpreter's final flush of what is still buffered is quiet.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             return EXIT_CLOSED_PIPE
+        from recdig.oracle import BudgetExceededError  # only on this path
+
+        if isinstance(exc, BudgetExceededError):
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_BUDGET
         import traceback  # only on this path, to keep start-up imports lean
 
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

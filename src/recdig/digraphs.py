@@ -16,9 +16,10 @@ Three independent routes to the same numbers live here:
 * composition of R with the rooted-tree table (via recdig.tables).
 
 The recursion serves: count_sequence streams the table through a sort
-merge in O(N^2) time and O(N) memory, and answers the CLI's seq, verify and
-report commands.  The closed form is the independent check on it (the
-table sdiff and check identities commands, and the tests).
+merge in O(N^2) time and O(N) memory, yields each count as soon as it is
+final, and answers the CLI's seq, verify and report commands.  The closed
+form is the independent check on it (the table sdiff and check identities
+commands, and the tests).
 
 Every division in the closed formulas is exact; each one is asserted.
 """
@@ -79,15 +80,20 @@ def digraph_rows(rec: CoeffSeq, nmax: int) -> Iterator[list[int]]:
     c[i][j] = i * (c[i][j-1] + c[i-1][j]) for i, j >= 1, with the j = 0
     column fixed by R and an empty i = 0 column.  Each row is built from
     the previous one only, so a consumer that does not keep the rows holds
-    O(nmax) integers at a time.
+    O(nmax) integers at a time.  The arguments are checked when this is
+    called, before any row is built.
     """
     if nmax < 0:
         raise ShapeError("a table needs at least the (0, 0) cell")
     _need_truncation(rec, nmax, "digraph_rows")
-    row = [rec.counts[0]] + [0] * nmax
+    return _rows(rec.counts, nmax)
+
+
+def _rows(r: Sequence[int], nmax: int) -> Iterator[list[int]]:
+    row = [r[0]] + [0] * nmax
     yield row
     for i in range(1, nmax + 1):
-        cell = rec.counts[i]
+        cell = r[i]
         new = [cell]
         # c[i-1][nmax-i+1], the last cell of the previous row, lies
         # outside row i's triangle.
@@ -105,14 +111,19 @@ def digraph_table(rec: CoeffSeq, nmax: int) -> CoeffTable:
     )
 
 
-def count_sequence(rec: CoeffSeq, nmax: int, model: str) -> tuple[int, ...]:
-    """R-recurrent counts for n = 0..nmax: the serving kernel.
+def count_sequence(rec: CoeffSeq, nmax: int, model: str) -> Iterator[int]:
+    """R-recurrent counts for n = 0..nmax, streamed: the serving kernel.
 
     Streams digraph_rows into merge_sorts without storing the table:
     model "cayley" merges the sorts by concatenation (Cayley
     permutations), "endofunctions" by identification (endofunctions).
-    O(nmax^2) big-integer operations and O(nmax) integers of memory;
-    cayley_count and endofunction_count are the closed-form check on it.
+    Count n is yielded as soon as it is final: after row n of the table
+    for "cayley", after the block of rows that holds row n for
+    "endofunctions".  The model and the truncation are checked when this
+    is called, before any count is produced; a caller that needs a
+    sequence wraps the iterator in tuple().  O(nmax^2) big-integer
+    operations and O(nmax) integers of memory; cayley_count and
+    endofunction_count are the closed-form check on it.
     """
     if model not in ("cayley", "endofunctions"):
         raise ValueError(f"unknown model {model!r}")

@@ -274,12 +274,12 @@ def asymptotics_report(nmax: int) -> list[AsymptoticsRow]:
     operations in all.
     """
     def cayley(rec: CoeffSeq) -> tuple[int, ...]:
-        return count_sequence(rec, nmax, "cayley")
+        return tuple(count_sequence(rec, nmax, "cayley"))
 
     perms, der, sets = atom("S", nmax), atom("Der", nmax), atom("E", nmax)
     perm_cycles = component_weights(perms)
     fubini, cayder = cayley(perms), cayley(der)
-    end_cycles = count_sequence(perm_cycles, nmax, "endofunctions")
+    end_cycles = tuple(count_sequence(perm_cycles, nmax, "endofunctions"))
     connected = cayley(atom("C", nmax))
     cay_cycles = {
         "all": cayley(perm_cycles),

@@ -9,10 +9,10 @@ merging the sorts back into one label set.
 
 from __future__ import annotations
 
-from itertools import accumulate
-from math import gcd
-from operator import add, mul
-from typing import Iterable, Sequence
+from itertools import accumulate, chain, islice, repeat
+from math import factorial, gcd, prod
+from operator import add, floordiv, mul
+from typing import Iterable, Iterator, Sequence
 
 from recdig._record import Record
 from recdig.series import (
@@ -146,10 +146,11 @@ class CoeffTable(Record, compare=("rows",)):
         """Counts after treating both sorts as one label set.
 
         The binomial factor chooses which of the n labels play sort X:
-        c[n] = sum_i binom(n, i) * a[i][n-i].
+        c[n] = sum_i binom(n, i) * a[i][n-i].  merge_sorts takes the rows
+        in blocks and multiplies each block's antidiagonal by one binomial.
         """
         counts = merge_sorts(self.rows, self.truncation, identify=True)
-        return CoeffSeq(counts, virtual=self.virtual)
+        return CoeffSeq(tuple(counts), virtual=self.virtual)
 
     def concat_sorts(self) -> CoeffSeq:
         """Counts when sort X is forced onto the smallest labels.
@@ -158,30 +159,78 @@ class CoeffTable(Record, compare=("rows",)):
         Cayley-permutation style merge (internal nodes take 1..i).
         """
         counts = merge_sorts(self.rows, self.truncation, identify=False)
-        return CoeffSeq(counts, virtual=self.virtual)
+        return CoeffSeq(tuple(counts), virtual=self.virtual)
 
 
 def merge_sorts(
     rows: Iterable[Sequence[int]], nmax: int, identify: bool
-) -> tuple[int, ...]:
-    """Antidiagonal sums c[n] of a triangular table read row by row.
+) -> Iterator[int]:
+    """Yield the antidiagonal sums c[n], n = 0..nmax, of a triangular table
+    read row by row, each as soon as it is final.
 
-    Row i holds a[i][0..nmax-i].  Without ``identify`` each cell adds into
-    c[i+j] as is (concat_sorts); with it the cell is first weighted by
-    binom(i+j, i) (identify_sorts).  Those weights, for j = 0..nmax-i, are
-    the prefix sums of the previous row's weights, so no binomial is
-    computed per cell.  Rows are consumed one at a time and never stored,
-    which lets a generator stream a table of any size through here.
+    Row i holds a[i][0..nmax-i] and adds into c[i..nmax] only.  Without
+    ``identify`` each cell adds in as is (concat_sorts), so c[n] is final
+    after row n.  With it, cell (i, j) is weighted by binom(i+j, i)
+    (identify_sorts), and the rows are read in blocks lo..hi of
+    _block_size(nmax) rows, through the identity
+
+        sum_{i=lo..hi} binom(n, i) * a[i][n-i]
+            = binom(n, lo) * sum_i w_i * a[i][n-i] / D
+
+    with D = (lo+1)...hi and, for row lo+t and j = n-lo-t, the weight
+    w = (j+1)...(j+t) * (lo+t+1)...hi.  Every w and D is a product of at
+    most hi - lo factors up to nmax, one machine digit, so a block costs
+    one big product and one exact small division per antidiagonal instead
+    of one big product per cell.  binom(n, lo) is the Pascal column lo,
+    kept by prefix sums.  c[n] is final after the block that holds row n.
+
+    A block's sum is built lazily from iterators, and rows are consumed
+    one block at a time and never stored beyond it, which lets a generator
+    stream a table of any size through here.
     """
+    rows = iter(rows)
+    size = _block_size(nmax) if identify else 1
     totals = [0] * (nmax + 1)
-    binoms = [1] * (nmax + 1)
-    for i, row in enumerate(rows):
+    column: Iterable[int] = repeat(1)  # binom(lo + k, lo), k = 0..nmax-lo
+    for lo in range(0, nmax + 1, size):
         if identify:
-            if i:
-                binoms = list(accumulate(binoms[: len(row)]))
-            row = map(mul, binoms, row)
-        totals[i:] = map(add, totals[i:], row)
-    return tuple(totals)
+            column = list(islice(column, nmax + 1 - lo))
+            part = _identify_block(list(islice(rows, size)), lo, column)
+            for _ in range(size):
+                column = accumulate(column)
+        else:
+            part = next(rows)
+        totals[lo:] = map(add, totals[lo:], part)
+        del part  # the block's rows go before the next block is read
+        yield from totals[lo : lo + size]
+
+
+def _block_size(nmax: int) -> int:
+    """The largest B <= nmax + 1 with (nmax + 1)**(B - 1) < 2**30: then a
+    block's weights and divisor, products of B - 1 factors up to nmax, are
+    one machine digit each."""
+    size = 1
+    while size <= nmax and (nmax + 1) ** size < 1 << 30:
+        size += 1
+    return size
+
+
+def _identify_block(
+    block: list[Sequence[int]], lo: int, column: list[int]
+) -> Iterator[int]:
+    """binom(n, lo) * sum_t w_t * a[lo+t][n-lo-t] / D for n = lo..nmax, the
+    block's share of the identify merge (see merge_sorts)."""
+    hi = lo + len(block) - 1
+    for t, row in enumerate(block):
+        # (lo+t+1)...hi * (j+1)...(j+t) = (lo+t+1)...hi * t! * binom(j+t, t)
+        # for j = 0, 1, ...: the t-fold prefix sums of a constant.
+        w = repeat(prod(range(lo + t + 1, hi + 1)) * factorial(t))
+        for _ in range(t):
+            w = accumulate(w)
+        term = chain(repeat(0, t), map(mul, row, w))
+        weighted = map(add, weighted, term) if t else term
+    divisor = prod(range(lo + 1, hi + 1))
+    return map(floordiv, map(mul, column, weighted), repeat(divisor))
 
 
 def _product_cell(g, z, binom, i: int, j: int) -> int:

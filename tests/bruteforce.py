@@ -147,3 +147,12 @@ def labeled_table_product(a, b):
         ]
         for i in range(n + 1)
     ]
+
+
+def identified_sorts(a):
+    """Antidiagonal sums sum_i C(n, i) a[i][n-i] of a triangular table,
+    binomials from math.comb."""
+    return [
+        sum(comb(n, i) * a[i][n - i] for i in range(n + 1))
+        for n in range(len(a))
+    ]

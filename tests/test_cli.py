@@ -32,21 +32,28 @@ def test_module_entry_point_subprocess(child_env):
     assert rc == 3
 
 
-@pytest.mark.parametrize("nmax", [2000, 5])
-def test_closed_stdout_pipe_exits_141_quietly(child_env, nmax):
-    # At nmax 2000 seq prints about 5.6 MB, far past a 64 KB pipe buffer,
-    # so the child is still writing when the reader goes after one line.
-    # At nmax 5 the output waits in the stdout buffer for the final flush,
-    # and the reader is gone before the child starts.
+@pytest.mark.parametrize(
+    "family, nmax", [("cay", 2000), ("cay", 5), ("end", 2000)],
+    ids=["2000", "5", "end-2000"],
+)
+def test_closed_stdout_pipe_exits_141_quietly(child_env, family, nmax):
+    # At nmax 2000 seq prints megabytes, far past a 64 KB pipe buffer, and
+    # it writes each count as the merge makes it final: the first lines
+    # arrive while the child is still counting (for seconds), and the
+    # reader goes after them.  At nmax 5 the output waits in the stdout
+    # buffer for the final flush, and the reader is gone before the child
+    # starts.
     env = {k: v for k, v in child_env.items() if k != "PYTHONUNBUFFERED"}
     proc = subprocess.Popen(
-        [sys.executable, "-m", "recdig.cli", "seq", "cay", "--nmax", str(nmax)],
+        [sys.executable, "-m", "recdig.cli", "seq", family, "--nmax", str(nmax)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
     )
     if nmax == 2000:
         assert proc.stdout.readline() == b"n,count\n"
+        assert proc.stdout.readline() == b"0,1\n"
+        assert proc.poll() is None
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()

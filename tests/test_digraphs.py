@@ -1,4 +1,5 @@
 import io
+from itertools import product
 
 import pytest
 
@@ -94,23 +95,26 @@ def test_count_sequence_matches_closed_form():
     nmax = 60
     for klass, label in CLASS_RECURRENT_ATOMS.items():
         rec = atom(label, nmax)
-        assert count_sequence(rec, nmax, "cayley") == tuple(
+        assert tuple(count_sequence(rec, nmax, "cayley")) == tuple(
             cayley_count(n, rec) for n in range(nmax + 1)
         ), klass
-        assert count_sequence(rec, nmax, "endofunctions") == tuple(
+        assert tuple(count_sequence(rec, nmax, "endofunctions")) == tuple(
             endofunction_count(n, rec) for n in range(nmax + 1)
         ), klass
 
 
 def test_count_sequence_matches_stored_table_merges():
-    nmax = 300
-    for label in CLASS_RECURRENT_ATOMS.values():
+    # The streamed merge of generated rows against the merge of the stored
+    # table, at one-block sizes and at both ends of a block.
+    sizes = (0, 1, 2, 3, 4, 5, 299, 300)
+    for nmax, label in product(sizes, CLASS_RECURRENT_ATOMS.values()):
         rec = atom(label, nmax)
         table = digraph_table(rec, nmax)
-        assert count_sequence(rec, nmax, "cayley") == table.concat_sorts().counts
-        assert (
-            count_sequence(rec, nmax, "endofunctions")
-            == table.identify_sorts().counts
+        assert tuple(count_sequence(rec, nmax, "cayley")) == (
+            table.concat_sorts().counts
+        )
+        assert tuple(count_sequence(rec, nmax, "endofunctions")) == (
+            table.identify_sorts().counts
         )
 
 

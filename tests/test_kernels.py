@@ -1,8 +1,9 @@
 """Seeded differential check of the labeled-product kernels.
 
-CoeffSeq's product, logarithm and substitution and CoeffTable's product are
-compared with the math.comb references in bruteforce.py on signed virtual
-inputs, at the edge truncations 0, 1, 2 and well past the exhaustive range.
+CoeffSeq's product, logarithm and substitution, CoeffTable's product and the
+blocked sort merge are compared with the math.comb references in
+bruteforce.py on signed virtual inputs, at the edge truncations 0, 1, 2 and
+well past the exhaustive range.
 """
 
 import random
@@ -10,13 +11,15 @@ import random
 import pytest
 
 from bruteforce import (
+    identified_sorts,
     labeled_compose,
     labeled_log,
     labeled_product,
     labeled_table_product,
 )
-from recdig.series import CoeffSeq
-from recdig.tables import CoeffTable
+from recdig.digraphs import digraph_table
+from recdig.series import CoeffSeq, atom
+from recdig.tables import CoeffTable, _block_size, merge_sorts
 
 SEEDS = (11, 12, 13)
 SPAN = 10**6  # entries are drawn from [-SPAN, SPAN]
@@ -66,3 +69,49 @@ def test_table_product_matches_comb_reference(seed):
             for b in tables:
                 expected = labeled_table_product(a.rows, b.rows)
                 assert [list(r) for r in (a * b).rows] == expected, (n, a, b)
+
+
+def test_block_size_keeps_weights_in_one_digit():
+    assert [_block_size(n) for n in (0, 1, 2, 120, 600, 1000, 2000)] == [
+        1, 2, 3, 5, 4, 4, 3,
+    ]
+    for n in range(300):
+        size = _block_size(n)
+        assert 1 <= size <= n + 1
+        assert (n + 1) ** (size - 1) < 2**30
+        assert size == n + 1 or (n + 1) ** size >= 2**30
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_identify_merge_matches_comb_reference(seed):
+    # Every nmax 0..40 ends in a short last block for some block size;
+    # nmax 0 and 1 are the one-block tables.
+    rng = random.Random(seed)
+    for n in range(41):
+        a = _signed_table(rng, n)
+        assert list(a.identify_sorts().counts) == identified_sorts(a.rows), n
+        assert list(a.concat_sorts().counts) == [
+            sum(a.rows[i][m - i] for i in range(m + 1)) for m in range(n + 1)
+        ], n
+
+
+@pytest.mark.parametrize("identify", [True, False])
+@pytest.mark.parametrize("nmax", [0, 1, 7, 40, 300])
+def test_merge_pulls_at_most_one_block_ahead(identify, nmax):
+    # Count n is yielded once the block that holds row n is read, so the
+    # first k counts pull at most one block of rows beyond row k - 1.
+    table = digraph_table(atom("S", nmax), nmax)
+    expected = table.identify_sorts() if identify else table.concat_sorts()
+    pulled = []
+
+    def rows():
+        for i, row in enumerate(table.rows):
+            pulled.append(i)
+            yield row
+
+    size = _block_size(nmax) if identify else 1
+    merged = merge_sorts(rows(), nmax, identify)
+    for k in range(1, nmax + 2):
+        assert next(merged) == expected.counts[k - 1]
+        assert k <= len(pulled) <= k - 1 + size
+    assert next(merged, None) is None

@@ -59,3 +59,44 @@ def test_oracle_imports_no_route_it_checks():
                 modules.add(module)
     ours = {m for m in modules if m == "recdig" or m.startswith("recdig.")}
     assert ours == {"recdig._record"}, sorted(ours)
+
+
+def _modules_after(code, child_env):
+    """The recdig modules a child interpreter has loaded after running code."""
+    out = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys\nprint(*sorted(sys.modules))"],
+        capture_output=True, text=True, env=child_env, check=True,
+    ).stdout.split()
+    return {m for m in out if m.startswith("recdig.")}
+
+
+def test_oracle_import_loads_no_counting_route(child_env):
+    # The package resolves its public names lazily, so importing the
+    # oracle (or the bijections on top of it) loads no route it checks.
+    for module in ("recdig.oracle", "recdig.bijections"):
+        loaded = _modules_after(f"import {module}", child_env)
+        assert not loaded & {
+            "recdig.series", "recdig.tables", "recdig.stirling", "recdig.digraphs"
+        }, (module, sorted(loaded))
+
+
+def test_each_command_loads_only_what_it_runs(child_env):
+    run = (
+        "import io\nfrom recdig import cli\n"
+        "assert cli.main({}, out=io.StringIO()) == 0"
+    )
+    cases = {
+        ("seq", "end", "--class", "forest", "--nmax", "5"): {
+            "recdig.oracle", "recdig.stats", "recdig.bijections"},
+        ("count", "--n", "4", "--model", "cayley"): {
+            "recdig.series", "recdig.tables", "recdig.stirling", "recdig.digraphs",
+            "recdig.stats", "recdig.bijections"},
+        ("table", "sdiff", "--nmax", "4"): {
+            "recdig.series", "recdig.tables", "recdig.digraphs", "recdig.oracle",
+            "recdig.stats", "recdig.bijections"},
+        ("report", "asymptotics", "--nmax", "4"): {
+            "recdig.oracle", "recdig.bijections"},
+    }
+    for argv, unused in cases.items():
+        loaded = _modules_after(run.format(list(argv)), child_env)
+        assert not loaded & unused, (argv, sorted(loaded))
