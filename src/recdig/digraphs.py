@@ -11,8 +11,8 @@ Three independent routes to the same numbers live here:
 
 * a closed formula over Stirling difference numbers (digraph_count,
   cayley_count, endofunction_count),
-* the two-sort coefficient recursion (digraph_rows, digraph_table,
-  count_sequence),
+* the two-sort coefficient recursion, one row kernel (digraph_rows,
+  digraph_table, digraph_table_with_branches, count_sequence),
 * composition of R with the rooted-tree table (via recdig.tables).
 
 The recursion serves: count_sequence streams the table through a sort
@@ -26,8 +26,10 @@ Every division in the closed formulas is exact; each one is asserted.
 
 from __future__ import annotations
 
+from collections import deque
+from itertools import repeat
 from math import factorial, perm
-from operator import mul
+from operator import add, mul
 from typing import Iterator, Sequence
 
 from recdig.series import CoeffSeq, ShapeError, atom, pascal_rows
@@ -47,6 +49,8 @@ def exact_div(num: int, den: int) -> int:
 
 
 def _need_truncation(r: CoeffSeq, n: int, what: str) -> None:
+    if n < 0:
+        raise ShapeError(f"{what}: size {n} is negative")
     if r.truncation < n:
         raise ShapeError(
             f"{what}: sequence truncated at {r.truncation}, need {n}"
@@ -78,29 +82,49 @@ def digraph_rows(rec: CoeffSeq, nmax: int) -> Iterator[list[int]]:
 
     Appending the branch that carries a new leaf gives
     c[i][j] = i * (c[i][j-1] + c[i-1][j]) for i, j >= 1, with the j = 0
-    column fixed by R and an empty i = 0 column.  Each row is built from
-    the previous one only, so a consumer that does not keep the rows holds
-    O(nmax) integers at a time.  The arguments are checked when this is
-    called, before any row is built.
+    column fixed by R and an empty i = 0 column: _rows with the tail
+    (1, (1,)) of linear orders.  Each row comes from the previous one
+    only, so a consumer that does not keep the rows holds O(nmax)
+    integers.  The arguments are checked at the call, before any row.
     """
-    if nmax < 0:
-        raise ShapeError("a table needs at least the (0, 0) cell")
     _need_truncation(rec, nmax, "digraph_rows")
-    return _rows(rec.counts, nmax)
+    return _rows(rec.counts, 1, (1,), nmax)
 
 
-def _rows(r: Sequence[int], nmax: int) -> Iterator[list[int]]:
-    row = [r[0]] + [0] * nmax
+def _rows(r: Sequence[int], a: int, nu: Sequence[int], n: int) -> Iterator[list[int]]:
+    """Yield the rows c[i][0..n-i] of the table with R's counts r and
+    the branch tail (a, nu), e = len(nu) - 1, by the recurrence that
+    digraph_table_with_branches derives.  a = 1 and nu[0] = 1 cost no
+    product, so T = L costs one addition and one product per cell.  Rows
+    i-e..i are kept, and Pascal rows are built only when e > 0.
+    """
+    e = len(nu) - 1
+    last: deque[list[int]] = deque(maxlen=e)  # rows i-1, ..., i-e
+    pascal = pascal_rows(n - 1)  # binom(i-1, .), drawn only if e > 0
+    row = [r[0]] + [0] * n
     yield row
-    for i in range(1, nmax + 1):
-        cell = r[i]
-        new = [cell]
-        # c[i-1][nmax-i+1], the last cell of the previous row, lies
+    for i in range(1, n + 1):
+        # c[i-1][n-i+1], the last cell of the previous row, lies
         # outside row i's triangle.
-        for up in row[1:-1]:
-            cell = i * (cell + up)
-            new.append(cell)
-        row = new
+        older = row[1:-1]
+        if a != 1:
+            older = map(mul, repeat(a), older)
+        if e:
+            last.appendleft(row)
+            # Oldest rows first: their cells are the shortest.
+            for b, v, prev in reversed([*zip(next(pascal)[1:], nu[1:], last)]):
+                if v:
+                    older = list(map(add, older, map(mul, repeat(b * v), prev)))
+        cell = r[i]
+        row = [cell]
+        if nu[0] == 1:
+            for x in older:
+                cell = i * (cell + x)
+                row.append(cell)
+        else:
+            for x in older:
+                cell = i * (nu[0] * cell + x)
+                row.append(cell)
         yield row
 
 
@@ -204,14 +228,14 @@ def _branch_tail(t: Sequence[int], nmax: int) -> tuple[int, tuple[int, ...]]:
     """The first-order tail (a, nu) of the branch counts t[0..nmax].
 
     nu[m] = t[m] - a * m * t[m-1] are the counts of (1 - a*x) * T, cut
-    after their last nonzero entry.  a is t[N] / (N * t[N-1]), N = nmax,
-    when that division is exact and nonzero and the cut nu is shorter than
-    the cut t; otherwise a = 0 and nu is t cut.
+    after their last nonzero entry, nu[0] kept.  a is t[N] / (N * t[N-1]),
+    N = nmax, when that division is exact and nonzero and the cut nu is
+    shorter than the cut t; otherwise a = 0 and nu is t cut.
     """
 
     def cut(counts: Sequence[int]) -> tuple[int, ...]:
         end = len(counts)
-        while end and not counts[end - 1]:
+        while end > 1 and not counts[end - 1]:
             end -= 1
         return tuple(counts[:end])
 
@@ -224,35 +248,6 @@ def _branch_tail(t: Sequence[int], nmax: int) -> tuple[int, tuple[int, ...]]:
             if len(nu) < len(plain):
                 return a, nu
     return 0, plain
-
-
-def _branch_rows(
-    r: Sequence[int], a: int, nu: tuple[int, ...], nmax: int
-) -> tuple[tuple[int, ...], ...]:
-    """Rows of the branch table from R's counts and the tail (a, nu).
-
-    The table is kept as columns and filled row by row.  Row i prepares
-    its weights binom(i, m) * nu[i-m] * m for the rows m = i-e..i (m >= 1)
-    once from a Pascal row; then each c[i][j+1] is a * i * c[i-1][j+1],
-    the last cell of column j+1, plus one dot product of the weights with
-    the bottom e+1 cells of column j.
-    """
-    e = len(nu) - 1
-    cols: list[list[int]] = [[] for _ in range(nmax + 1)]
-    for i, binom in enumerate(pascal_rows(nmax)):
-        low = max(1, i - e)
-        weights = [binom[m] * nu[i - m] * m for m in range(low, i + 1)]
-        ai = a * i
-        cell = r[i]
-        for col, nxt in zip(cols[: nmax - i], cols[1:]):
-            col.append(cell)
-            cell = sum(map(mul, weights, col[low:]))
-            if ai:
-                cell += ai * nxt[-1]
-        cols[nmax - i].append(cell)
-    return tuple(
-        tuple(col[i] for col in cols[: nmax + 1 - i]) for i in range(nmax + 1)
-    )
 
 
 def digraph_table_with_branches(
@@ -271,16 +266,17 @@ def digraph_table_with_branches(
 
     In column generating functions this reads C_{j+1} = T * x * C_j'.
     Multiplying by (1 - a*x) and moving a*x*C_{j+1} to the right gives
-    C_{j+1} = a*x*C_{j+1} + nu * x * C_j' with nu = (1 - a*x) * T, so
+    C_{j+1} = a*x*C_{j+1} + nu * x * C_j' with nu = (1 - a*x) * T, so,
+    since binom(i, m) * (i - m) = i * binom(i-1, m),
 
-        c[i][j+1] = a * i * c[i-1][j+1]
-                    + sum_{m <= e} binom(i, m) * nu[m] * (i - m) * c[i-m][j]
+        c[i][j+1] = i * (nu[0] * c[i][j] + a * c[i-1][j+1]
+                         + sum_{1 <= m <= e} binom(i-1, m) * nu[m] * c[i-m][j])
 
     where nu[m] = T[m] - a * m * T[m-1] and e is the last m with
     nu[m] != 0.  It is an identity of power series, exact for every
     integer a; a = 0 is the plain convolution.  a is read off the branch
-    counts (_branch_tail), so each cell costs e + 2 products and the table
-    O((e + 1) * nmax^2):
+    counts (_branch_tail).  _rows fills the table in O((e + 1) * nmax^2)
+    operations, keeping O((e + 1) * nmax) integers besides the rows it yields:
 
     * L and S (a = 1, nu = 1) and L+ and S+ (a = 1, nu = x): O(nmax^2);
     * bounded-size classes (1, X, E_r, S_r and their sums; a = 0): e is
@@ -290,8 +286,8 @@ def digraph_table_with_branches(
     """
     _need_truncation(rec, nmax, "digraph_table_with_branches")
     _need_truncation(branch, nmax, "digraph_table_with_branches")
-    rows = _branch_rows(rec.counts, *_branch_tail(branch.counts, nmax), nmax)
-    return CoeffTable(rows, virtual=rec.virtual or branch.virtual)
+    rows = _rows(rec.counts, *_branch_tail(branch.counts, nmax), nmax)
+    return CoeffTable(tuple(map(tuple, rows)), virtual=rec.virtual or branch.virtual)
 
 
 def bounded_arity_tree_table(k: int, nmax: int) -> CoeffTable:
@@ -309,8 +305,9 @@ def bounded_arity_tree_table(k: int, nmax: int) -> CoeffTable:
     return solve_tree_equation(branching, nmax)
 
 
-def divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+def divisors(n: int, most: int) -> list[int]:
+    """The divisors of n up to most, in increasing order."""
+    return [d for d in range(1, min(n, most) + 1) if n % d == 0]
 
 
 def perms_with_cycle_lengths_dividing(d: int, nmax: int) -> CoeffSeq:
@@ -322,7 +319,7 @@ def perms_with_cycle_lengths_dividing(d: int, nmax: int) -> CoeffSeq:
     """
     if d < 1:
         raise ValueError("divisor parameter must be positive")
-    inner = atom("C_i", nmax, divisors(d)[0])
-    for i in divisors(d)[1:]:
+    inner = atom("C_i", nmax, 1)
+    for i in divisors(d, nmax)[1:]:
         inner = inner + atom("C_i", nmax, i)
     return atom("E", nmax).compose(inner)

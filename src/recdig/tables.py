@@ -186,22 +186,25 @@ def merge_sorts(
 
     A block's sum is built lazily from iterators, and rows are consumed
     one block at a time and never stored beyond it, which lets a generator
-    stream a table of any size through here.
+    stream a table of any size through here.  A missing row raises
+    ShapeError, after the counts that the rows before it make final.
     """
     rows = iter(rows)
     size = _block_size(nmax) if identify else 1
     totals = [0] * (nmax + 1)
     column: Iterable[int] = repeat(1)  # binom(lo + k, lo), k = 0..nmax-lo
     for lo in range(0, nmax + 1, size):
+        block = list(islice(rows, size))
+        if len(block) < min(size, nmax + 1 - lo):
+            raise ShapeError(f"merge_sorts: {lo + len(block)} rows, need {nmax + 1}")
+        part = block[0]
         if identify:
             column = list(islice(column, nmax + 1 - lo))
-            part = _identify_block(list(islice(rows, size)), lo, column)
+            part = _identify_block(block, lo, column)
             for _ in range(size):
                 column = accumulate(column)
-        else:
-            part = next(rows)
         totals[lo:] = map(add, totals[lo:], part)
-        del part  # the block's rows go before the next block is read
+        del block, part  # the block's rows go before the next block is read
         yield from totals[lo : lo + size]
 
 

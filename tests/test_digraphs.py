@@ -8,8 +8,8 @@ from recdig.cli import main
 from recdig.digraphs import (
     CLASS_RECURRENT_ATOMS,
     InexactDivisionError,
-    _branch_rows,
     _branch_tail,
+    _rows,
     bounded_arity_tree_table,
     cayley_connected_count,
     cayley_count,
@@ -72,6 +72,14 @@ def test_truncation_guards():
         digraph_count(5, 0, atom("S", 3))
     with pytest.raises(ShapeError):
         digraph_count_by_recurrent(1, 1, 4, atom("S", 3))
+    # A negative size is an error too, not an empty count.
+    for count in (
+        lambda: digraph_count(-1, 2, atom("S", 0)),
+        lambda: cayley_count(-1, atom("S", 0)),
+        lambda: endofunction_count(-1, atom("S", 0)),
+    ):
+        with pytest.raises(ShapeError):
+            count()
 
 
 def test_recursion_table_matches_formula():
@@ -316,12 +324,17 @@ def test_branch_tail_choice():
 
 
 def test_branch_fill_without_the_tail_gives_the_same_table():
-    n = 20
-    rec = atom("S", n)
-    for label, branch in _branch_classes(n):
-        assert _branch_rows(rec.counts, 0, branch.counts, n) == (
-            digraph_table_with_branches(rec, branch, n).rows
-        ), label
+    # The kernel with any integer a and the uncut nu = (1 - a*x) * T fills
+    # the plain convolution's table; a = 0 is the convolution itself.
+    for n in (0, 1, 2, 20):
+        rec = atom("S", n)
+        for label, branch in _branch_classes(n):
+            t = branch.counts
+            expected = _branch_table_by_triple_loop(rec, branch, n)
+            for a in (-1, 0, 1, 2):
+                nu = [t[0]] + [t[m] - a * m * t[m - 1] for m in range(1, n + 1)]
+                got = tuple(map(tuple, _rows(rec.counts, a, nu, n)))
+                assert got == expected, (n, label, a)
 
 
 def test_linear_branch_tables_to_300():
@@ -388,9 +401,14 @@ def test_bounded_arity_digraphs_match_oracle():
 
 
 def test_cycle_length_divisor_family():
-    assert divisors(6) == [1, 2, 3, 6]
+    assert divisors(6, 6) == divisors(6, 10) == [1, 2, 3, 6]
+    assert divisors(6, 4) == [1, 2, 3]
     inv = perms_with_cycle_lengths_dividing(2, 5)
     assert inv.counts == (1, 1, 2, 4, 10, 26)  # involutions
+    # Only divisors up to nmax are looked for: 1, 2, 4 and 5 for both.
+    assert perms_with_cycle_lengths_dividing(10**12, 6) == (
+        perms_with_cycle_lengths_dividing(20, 6)
+    )
     with pytest.raises(ValueError):
         perms_with_cycle_lengths_dividing(0, 4)
 

@@ -7,6 +7,7 @@ well past the exhaustive range.
 """
 
 import random
+from itertools import product
 
 import pytest
 
@@ -18,7 +19,7 @@ from bruteforce import (
     labeled_table_product,
 )
 from recdig.digraphs import digraph_table
-from recdig.series import CoeffSeq, atom
+from recdig.series import CoeffSeq, ShapeError, atom
 from recdig.tables import CoeffTable, _block_size, merge_sorts
 
 SEEDS = (11, 12, 13)
@@ -115,3 +116,18 @@ def test_merge_pulls_at_most_one_block_ahead(identify, nmax):
         assert next(merged) == expected.counts[k - 1]
         assert k <= len(pulled) <= k - 1 + size
     assert next(merged, None) is None
+
+
+def test_merge_rejects_a_short_table():
+    # At nmax 10 the identify blocks hold rows 0..8 and 9..10: ten rows
+    # leave the last block one row short, five leave the first block short
+    # and the last one missing.
+    rows = digraph_table(atom("S", 10), 10).rows
+    for short, identify in product((rows[:10], rows[:5]), (True, False)):
+        with pytest.raises(ShapeError):
+            list(merge_sorts(short, 10, identify))
+    # The counts that the rows read make final still come out first.
+    merged = merge_sorts([[1, 2, 3], [4, 5]], 2, identify=False)
+    assert [next(merged), next(merged)] == [1, 6]
+    with pytest.raises(ShapeError):
+        next(merged)
