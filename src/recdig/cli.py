@@ -14,7 +14,8 @@ SIGPIPE; nothing is printed).
 Routes: seq, the formula column of verify, and report asymptotics are
 served by the two-sort table recursion (digraphs.count_sequence), which
 streams: seq writes count n as soon as the sort merge has made it final,
-so ``recdig seq end --nmax 2000 | head`` gets its first lines at once.
+so ``recdig seq end --nmax 2000 | head`` gets its first lines at once, and
+verify writes row n as soon as the oracle has counted n.
 table sdiff and check identities use the closed form over Stirling
 differences; count and the oracle column of verify enumerate.
 
@@ -57,17 +58,37 @@ SEQ_CLASSES = _Names("recdig.digraphs", "CLASS_RECURRENT_ATOMS")
 MODELS = _Names("recdig.oracle", "MODELS")
 
 
-def _emit(headers: list[str], rows: Iterable[Sequence], fmt: str, out) -> None:
+def _emit(
+    headers: Sequence[str], blocks: Iterable[Iterable[tuple]], fmt: str, out
+) -> None:
+    """Write the header (CSV only), then each block of rows with one
+    ``out.write``.
+
+    A block is an iterable of tuple rows, at most one table row or one n
+    of the report, so memory stays one block of text and a command that
+    yields its blocks as it computes them streams.  Under
+    ``PYTHONUNBUFFERED`` stdout is write-through and each ``out.write``
+    is one write(2): one call per line made 31,627 of them for ``table psi
+    --R Der --nmax 250``, one per block makes 252 (the header and 251
+    table rows).  CSV formats each row
+    with one ``%s`` template, which calls ``str()`` on every cell, so the
+    bytes are the cells' decimal strings joined by commas; JSON prints one
+    object per row.  This is the only writer of CSV and JSON rows.
+    """
     if fmt == "csv":
         out.write(",".join(headers) + "\n")
-        for row in rows:
-            out.write(",".join(str(c) for c in row) + "\n")
+        line = ",".join(["%s"] * len(headers)) + "\n"
+        for block in blocks:
+            out.write("".join([line % row for row in block]))
     else:
         import json  # only for --format json, to keep start-up imports lean
 
-        for row in rows:
-            obj = {h: str(c) for h, c in zip(headers, row)}
-            out.write(json.dumps(obj, sort_keys=True) + "\n")
+        for block in blocks:
+            out.write("".join([
+                json.dumps({h: str(c) for h, c in zip(headers, row)}, sort_keys=True)
+                + "\n"
+                for row in block
+            ]))
 
 
 def nonnegative_int(text: str) -> int:
@@ -152,7 +173,7 @@ def _cmd_seq(args, out) -> int:
     model = "endofunctions" if args.family == "end" else "cayley"
     rec = digraphs.recurrent_structure_for_class(klass, args.nmax)
     counts = digraphs.count_sequence(rec, args.nmax, model)
-    _emit(["n", "count"], enumerate(counts), args.format, out)
+    _emit(["n", "count"], ((row,) for row in enumerate(counts)), args.format, out)
     return EXIT_OK
 
 
@@ -160,19 +181,20 @@ def _cmd_table(args, out) -> int:
     if args.kind == "sdiff":
         from recdig.stirling import sdiff
 
-        rows = (
-            [n, m, sdiff(n, m, args.r)]
+        blocks = (
+            [(n, m, sdiff(n, m, args.r)) for m in range(1, n + 1)]
             for n in range(1, args.nmax + 1)
-            for m in range(1, n + 1)
         )
-        _emit(["n", "m", "value"], rows, args.format, out)
+        _emit(["n", "m", "value"], blocks, args.format, out)
     else:
+        from itertools import count, repeat
+
         from recdig import digraphs
         from recdig.series import atom
 
         table = digraphs.digraph_rows(atom(args.rec, args.nmax), args.nmax)
-        rows = ([i, j, c] for i, row in enumerate(table) for j, c in enumerate(row))
-        _emit(["i", "j", "value"], rows, args.format, out)
+        blocks = (zip(repeat(i), count(), row) for i, row in enumerate(table))
+        _emit(["i", "j", "value"], blocks, args.format, out)
     return EXIT_OK
 
 
@@ -184,7 +206,7 @@ def _cmd_count(args, out) -> int:
         args.n, args.model, pred, by=args.by, override_budget=args.override_budget
     )
     headers = ["i", "j", "count"] if args.by == "ij" else ["i", "j", "r", "count"]
-    rows = [list(key) + [table[key]] for key in sorted(table)]
+    rows = (((*key, table[key]),) for key in sorted(table))
     _emit(headers, rows, args.format, out)
     return EXIT_OK
 
@@ -196,19 +218,21 @@ def _cmd_verify(args, out) -> int:
     oracle.check_budget(args.nmax, args.model, args.override_budget)
     rec = digraphs.recurrent_structure_for_class(args.klass, args.nmax)
     formulas = digraphs.count_sequence(rec, args.nmax, args.model)
-    rows = []
     failing = []
-    for n, formula in enumerate(formulas):
-        brute = oracle.count(
-            n, args.model, pred, override_budget=args.override_budget
-        )
-        ok = formula == brute
-        if not ok:
-            failing.append(n)
-        rows.append([n, args.model, args.klass, formula, brute,
-                     "ok" if ok else "MISMATCH"])
+
+    def rows():  # one-row blocks: row n is written before n + 1 is counted
+        for n, formula in enumerate(formulas):
+            brute = oracle.count(
+                n, args.model, pred, override_budget=args.override_budget
+            )
+            ok = formula == brute
+            if not ok:
+                failing.append(n)
+            yield ((n, args.model, args.klass, formula, brute,
+                    "ok" if ok else "MISMATCH"),)
+
     _emit(["n", "model", "class", "formula", "oracle", "status"],
-          rows, args.format, out)
+          rows(), args.format, out)
     if failing:
         print(
             f"verification failed at n = {failing[:10]}",
@@ -270,30 +294,33 @@ def _cmd_check(args, out) -> int:
         for check in stats.identity_checks(rec, args.nmax):
             status = "ok" if check.ok else "FAIL"
             bad += not check.ok
-            rows.append([
+            rows.append((
                 check.identity,
                 label,
                 ";".join(str(v) for v in check.index),
                 check.lhs,
                 check.rhs,
                 status,
-            ])
+            ))
     _emit(["identity", "R", "index", "lhs", "rhs", "status"],
-          rows, args.format, out)
+          ((row,) for row in rows), args.format, out)
     return EXIT_MISMATCH if bad else EXIT_OK
 
 
 def _cmd_report(args, out) -> int:
+    from itertools import groupby
+    from operator import attrgetter
+
     from recdig import stats
 
-    rows = [
-        [r.statistic, r.n, r.numerator, r.denominator, r.ratio, r.reference]
-        for r in stats.asymptotics_report(args.nmax)
-    ]
-    _emit(
-        ["statistic", "n", "numerator", "denominator", "ratio", "reference"],
-        rows, args.format, out,
+    # The headers are the field names of stats.AsymptoticsRow.
+    headers = ["statistic", "n", "numerator", "denominator", "ratio", "reference"]
+    cells = attrgetter(*headers)
+    blocks = (  # one block per n
+        map(cells, group)
+        for _, group in groupby(stats.asymptotics_report(args.nmax), attrgetter("n"))
     )
+    _emit(headers, blocks, args.format, out)
     return EXIT_OK
 
 

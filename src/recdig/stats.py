@@ -242,18 +242,14 @@ class AsymptoticsRow(Record):
 
 
 def decimal_string(num: int, den: int) -> str:
-    """Decimal rendering of num/den by integer long division."""
+    """Decimal rendering of num/den, cut (not rounded) after RATIO_DIGITS
+    fractional digits: one integer division of |num|·10^RATIO_DIGITS by
+    |den|."""
     if den == 0:
         raise ZeroDivisionError("ratio with zero denominator")
     sign = "-" if (num < 0) != (den < 0) and num != 0 else ""
-    num, den = abs(num), abs(den)
-    whole, rem = divmod(num, den)
-    frac_digits = []
-    for _ in range(RATIO_DIGITS):
-        rem *= 10
-        d, rem = divmod(rem, den)
-        frac_digits.append(str(d))
-    return f"{sign}{whole}." + "".join(frac_digits)
+    whole, frac = divmod(abs(num) * 10**RATIO_DIGITS // abs(den), 10**RATIO_DIGITS)
+    return f"{sign}{whole}.{frac:0{RATIO_DIGITS}d}"
 
 
 def _cycle_reference(n: int) -> str:

@@ -33,24 +33,34 @@ def test_module_entry_point_subprocess(child_env):
 
 
 @pytest.mark.parametrize(
-    "family, nmax", [("cay", 2000), ("cay", 5), ("end", 2000)],
-    ids=["2000", "5", "end-2000"],
+    "argv",
+    [
+        ["seq", "cay", "--nmax", "2000"],
+        ["seq", "cay", "--nmax", "5"],
+        ["seq", "end", "--nmax", "2000"],
+        ["table", "psi", "--nmax", "400"],
+    ],
+    ids=["2000", "5", "end-2000", "psi-400"],
 )
-def test_closed_stdout_pipe_exits_141_quietly(child_env, family, nmax):
+def test_closed_stdout_pipe_exits_141_quietly(child_env, argv):
     # At nmax 2000 seq prints megabytes, far past a 64 KB pipe buffer, and
     # it writes each count as the merge makes it final: the first lines
     # arrive while the child is still counting (for seconds), and the
     # reader goes after them.  At nmax 5 the output waits in the stdout
     # buffer for the final flush, and the reader is gone before the child
-    # starts.
+    # starts.  table psi at nmax 400 prints megabytes as well, one write
+    # per table row, and its reader goes after two lines.
     env = {k: v for k, v in child_env.items() if k != "PYTHONUNBUFFERED"}
     proc = subprocess.Popen(
-        [sys.executable, "-m", "recdig.cli", "seq", family, "--nmax", str(nmax)],
+        [sys.executable, "-m", "recdig.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
     )
-    if nmax == 2000:
+    if argv[0] == "table":
+        assert proc.stdout.readline() == b"i,j,value\n"
+        assert proc.stdout.readline() == b"0,0,1\n"
+    elif argv[-1] == "2000":
         assert proc.stdout.readline() == b"n,count\n"
         assert proc.stdout.readline() == b"0,1\n"
         assert proc.poll() is None
@@ -106,6 +116,67 @@ def test_table_psi():
     assert cells[(2, 0)] == 1
 
 
+class _RecordingOut(io.StringIO):
+    """A stdout that counts its write calls."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize(
+    "argv, blocks, rows",
+    [
+        (["table", "psi", "--nmax", "6"], 7, 28),
+        (["table", "sdiff", "--nmax", "6"], 6, 21),
+        (["seq", "cay", "--nmax", "6"], 7, 7),
+    ],
+    ids=["psi", "sdiff", "seq"],
+)
+def test_one_write_per_table_row(argv, blocks, rows):
+    out = _RecordingOut()
+    assert main(argv, out=out) == 0
+    assert out.writes == 1 + blocks  # the header, then one per block
+    assert out.getvalue().count("\n") == 1 + rows
+
+
+def _render_cells(headers, cells, fmt):
+    if fmt == "csv":
+        lines = [",".join(headers)]
+        lines += [",".join(str(c) for c in cell) for cell in cells]
+    else:
+        lines = [
+            json.dumps({h: str(c) for h, c in zip(headers, cell)}, sort_keys=True)
+            for cell in cells
+        ]
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_tables_equal_a_per_cell_rendering(fmt):
+    from recdig.digraphs import digraph_rows
+    from recdig.series import atom
+    from recdig.stirling import sdiff
+
+    for nmax in range(9):
+        for rec in ("S", "X", "E", "C", "Der"):
+            rows = digraph_rows(atom(rec, nmax), nmax)
+            cells = [(i, j, c) for i, row in enumerate(rows) for j, c in enumerate(row)]
+            argv = ["table", "psi", "--R", rec, "--nmax", str(nmax), "--format", fmt]
+            assert run(argv) == (0, _render_cells(["i", "j", "value"], cells, fmt))
+        for r in range(4):
+            cells = [
+                (n, m, sdiff(n, m, r))
+                for n in range(1, nmax + 1)
+                for m in range(1, n + 1)
+            ]
+            argv = ["table", "sdiff", "--r", str(r), "--nmax", str(nmax),
+                    "--format", fmt]
+            assert run(argv) == (0, _render_cells(["n", "m", "value"], cells, fmt))
+
+
 def test_count_table():
     rc, out = run(["count", "--n", "4", "--model", "cayley", "--by", "ij"])
     assert rc == 0
@@ -127,6 +198,36 @@ def test_verify_ok():
     assert all(line.endswith("ok") for line in out.strip().splitlines()[1:])
     rc, _ = run(["verify", "--nmax", "4", "--model", "endofunctions"])
     assert rc == 0
+
+
+def test_verify_streams_its_rows(monkeypatch, capsys):
+    # Row n - 1 is on out when the oracle is asked for count n.
+    buf = io.StringIO()
+    count = oracle.count
+    written = []
+
+    def recording_count(n, *args, **kw):
+        written.append(buf.getvalue())
+        return count(n, *args, **kw)
+
+    monkeypatch.setattr(oracle, "count", recording_count)
+    argv = ["verify", "--nmax", "5", "--class", "derangement"]
+    assert main(argv, out=buf) == 0
+    lines = buf.getvalue().splitlines(keepends=True)
+    assert len(lines) == 7
+    assert written == ["".join(lines[:n + 1]) for n in range(6)]
+
+    # A mismatch is still reported after every row, on stderr, with exit 1.
+    monkeypatch.setattr(
+        oracle, "count", lambda n, *args, **kw: -1 if n == 3 else count(n, *args, **kw)
+    )
+    rc, out = run(argv)
+    assert rc == 1
+    assert out.splitlines() == [
+        line.rstrip("\n") if n != 4 else "3,cayley,derangement,4,-1,MISMATCH"
+        for n, line in enumerate(lines)
+    ]
+    assert capsys.readouterr().err == "verification failed at n = [3]\n"
 
 
 def test_budget_exit_code(monkeypatch):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from recdig.stats import (
     AsymptoticsRow,
     asymptotics_report,
     component_weights,
+    RATIO_DIGITS,
     decimal_string,
     identity_checks,
     ordinal_product,
@@ -216,6 +218,19 @@ def test_identity_failures_are_reported_not_raised():
     assert not bad.ok
 
 
+def _decimal_string_by_long_division(num: int, den: int) -> str:
+    """Reference: one long-division step per fractional digit."""
+    sign = "-" if (num < 0) != (den < 0) and num != 0 else ""
+    num, den = abs(num), abs(den)
+    whole, rem = divmod(num, den)
+    frac_digits = []
+    for _ in range(RATIO_DIGITS):
+        rem *= 10
+        d, rem = divmod(rem, den)
+        frac_digits.append(str(d))
+    return f"{sign}{whole}." + "".join(frac_digits)
+
+
 def test_decimal_string():
     assert decimal_string(1, 3) == "0.3333333333"
     assert decimal_string(22, 7) == "3.1428571428"
@@ -223,6 +238,20 @@ def test_decimal_string():
     assert decimal_string(0, 5) == "0.0000000000"
     with pytest.raises(ZeroDivisionError):
         decimal_string(1, 0)
+    with pytest.raises(ZeroDivisionError):
+        decimal_string(0, 0)
+
+
+def test_decimal_string_equals_long_division():
+    rng = random.Random(244)
+    cases = [(0, 1), (0, -7), (-3, -4), (7, -2), (10**30, 3), (-(10**30), 10**29)]
+    sizes = (1, 4, 25, 300)  # decimal digits
+    for _ in range(4000):
+        num = rng.choice((-1, 1)) * rng.randrange(10 ** rng.choice(sizes))
+        den = rng.choice((-1, 1)) * rng.randrange(1, 10 ** rng.choice(sizes))
+        cases.append((num, den))
+    for num, den in cases:
+        assert decimal_string(num, den) == _decimal_string_by_long_division(num, den)
 
 
 def test_asymptotics_report_rows():
