@@ -146,20 +146,19 @@ def tree_to_endofunction(t: DoublyRootedTree) -> Endofunction:
 def _check_forest(
     x_parent: tuple[int | None, ...],
     y_parent: tuple[int, ...],
-    extra_children: set[int],
     single_root: bool,
 ) -> list[int]:
     """Validate a forest of two-sort trees; return its roots in order.
 
     Every childless internal node must be a root: a node has a child when
-    it is the parent of an internal node or a leaf, or is in extra_children.
+    it is the parent of an internal node or a leaf.
     """
     roots = _roots(x_parent, single_root)
     i = len(x_parent)
     for y, p in enumerate(y_parent):
         if not 1 <= p <= i:
             raise StructureError(f"leaf {y + 1} parent {p} outside [1..{i}]")
-    bare = _childless(x_parent).difference(y_parent, extra_children, roots)
+    bare = _childless(x_parent).difference(y_parent, roots)
     if bare:
         raise StructureError(
             f"non-root internal node {min(bare)} has no children"
@@ -183,7 +182,7 @@ class TwoSortTree(Record):
             raise StructureError("a two-sort tree needs an internal root")
         # With one root and no cycle, the root is childless only when it
         # is bare (i = 1, j = 0), so the forest check covers every node.
-        _check_forest(x_parent, y_parent, extra_children=set(), single_root=True)
+        _check_forest(x_parent, y_parent, single_root=True)
         object.__setattr__(self, "x_parent", x_parent)
         object.__setattr__(self, "y_parent", y_parent)
 
@@ -192,8 +191,9 @@ class PointedLeafTree(Record):
     """A two-sort tree carrying one extra, distinguished leaf.
 
     The extra leaf is anonymous (it is the added element of a derivative in
-    sort Y); only its attachment point matters.  It counts as a child, so a
-    bare root with just the extra leaf is valid.
+    sort Y); only its attachment point matters.  It is validated as the last
+    leaf of a two-sort tree, so it counts as a child and a bare root with
+    just the extra leaf is valid.
     """
 
     __slots__ = ("x_parent", "y_parent", "star_parent")
@@ -206,7 +206,7 @@ class PointedLeafTree(Record):
     ):
         if not 1 <= star_parent <= len(x_parent):
             raise StructureError("the extra leaf must hang from an internal node")
-        _check_forest(x_parent, y_parent, {star_parent}, single_root=True)
+        _check_forest(x_parent, (*y_parent, star_parent), single_root=True)
         object.__setattr__(self, "x_parent", x_parent)
         object.__setattr__(self, "y_parent", y_parent)
         object.__setattr__(self, "star_parent", star_parent)
@@ -229,9 +229,7 @@ class PermutedForest(Record):
         y_parent: tuple[int, ...],
         root_image: tuple[tuple[int, int], ...],
     ):
-        roots = _check_forest(
-            x_parent, y_parent, extra_children=set(), single_root=False
-        )
+        roots = _check_forest(x_parent, y_parent, single_root=False)
         dom = sorted(r for r, _ in root_image)
         img = sorted(v for _, v in root_image)
         if dom != roots or img != roots:
@@ -298,36 +296,39 @@ def rooted_parent_maps(i: int) -> Iterator[tuple[int | None, ...]]:
         yield tuple(parent[1:])
 
 
-def two_sort_trees(i: int, j: int) -> Iterator[TwoSortTree]:
-    """All two-sort trees with internal nodes [i] and leaves [j]."""
-    if i == 0:
-        return
+def _two_sort_shapes(
+    i: int, j: int
+) -> Iterator[tuple[tuple[int | None, ...], tuple[int, ...]]]:
+    """(skeleton, leaf parents) of every two-sort tree on [i], [j], in order.
+
+    Skeletons come in rooted_parent_maps order and the leaf parents
+    lexicographically within each.  Every childless internal node needs a
+    leaf, save the root of a one-node skeleton, which may stay bare.
+    """
     for skeleton in rooted_parent_maps(i):
-        bare = _childless(skeleton)
-        if len(bare) > j and not (i == 1 and j == 0):
+        bare = _childless(skeleton) if i > 1 else set()
+        if len(bare) > j:
             continue
         for attach in product(range(1, i + 1), repeat=j):
-            if bare <= set(attach) or (i == 1 and j == 0):
-                yield TwoSortTree(x_parent=skeleton, y_parent=attach)
+            if bare.issubset(attach):
+                yield skeleton, attach
+
+
+def two_sort_trees(i: int, j: int) -> Iterator[TwoSortTree]:
+    """All two-sort trees with internal nodes [i] and leaves [j]."""
+    for skeleton, attach in _two_sort_shapes(i, j):
+        yield TwoSortTree(x_parent=skeleton, y_parent=attach)
 
 
 def pointed_leaf_trees(i: int, j: int) -> Iterator[PointedLeafTree]:
-    """All derivative-in-Y structures: trees on [i], [j] plus the extra leaf."""
-    if i == 0:
-        return
-    for skeleton in rooted_parent_maps(i):
-        bare = _childless(skeleton)
-        if len(bare) > j + 1:
-            continue
-        for attach in product(range(1, i + 1), repeat=j):
-            uncovered = bare - set(attach)
-            if len(uncovered) > 1:
-                continue
-            for star in range(1, i + 1):
-                if uncovered <= {star}:
-                    yield PointedLeafTree(
-                        x_parent=skeleton, y_parent=attach, star_parent=star
-                    )
+    """All derivative-in-Y structures: trees on [i], [j] plus the extra leaf.
+
+    The extra leaf is the last leaf of a two-sort tree on [i], [j + 1].
+    """
+    for skeleton, attach in _two_sort_shapes(i, j + 1):
+        yield PointedLeafTree(
+            x_parent=skeleton, y_parent=attach[:-1], star_parent=attach[-1]
+        )
 
 
 def _childless(skeleton: tuple[int | None, ...]) -> set[int]:

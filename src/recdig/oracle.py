@@ -57,7 +57,10 @@ def check_endofunction(f: Iterable[int]) -> Endofunction:
 
 
 def check_budget(n: int, model: str, override_budget: bool) -> None:
-    """Raise BudgetExceededError if enumerating size n would pass the budget."""
+    """Raise ValueError for a negative size, and BudgetExceededError if
+    enumerating size n would pass the budget."""
+    if n < 0:
+        raise ValueError(f"size must be nonnegative, got {n}")
     limit = BUDGET_ENDOFUNCTIONS if model == "endofunctions" else BUDGET_CAYLEY
     if n > limit and not override_budget:
         raise BudgetExceededError(

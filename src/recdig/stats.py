@@ -12,14 +12,21 @@ are produced.
 The total_* helpers and the identity suite use the closed form over
 Stirling differences; the asymptotics report is served by the table
 recursion (digraphs.count_sequence), so the two routes stay independent.
+The report is one table of (statistic, numerators, denominators) and one
+row helper.  The identity suite builds its ballot products (two per r)
+and its two segment expansions (sums of ordinal products) as whole
+sequences, and reads them off per n.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from math import factorial, log
+from operator import add
 
 from recdig._record import Record
 from recdig.digraphs import (
+    _need_truncation,
     cayley_count,
     count_sequence,
     digraph_count,
@@ -59,7 +66,12 @@ def ordinal_product(a: CoeffSeq, b: CoeffSeq) -> CoeffSeq:
 
 
 def total_recurrent_points(i: int, j: int, rec: CoeffSeq) -> int:
-    """Sum of the number of recurrent points over all structures on [i, j]."""
+    """Sum of the number of recurrent points over all structures on [i, j].
+
+    Checks i as digraph_count does: a negative size, or one past the
+    truncation of rec, raises ShapeError.
+    """
+    _need_truncation(rec, i, "total_recurrent_points")
     return sum(
         r * digraph_count_by_recurrent(i, j, r, rec) for r in range(i + 1)
     )
@@ -124,18 +136,19 @@ class IdentityCheck(Record):
 
 
 def _ballot_powers(nmax: int, rmax: int):
-    """(E^r * Bal^(r+1))[.] and (E^r * Bal^r)[.] for r = 0..rmax."""
+    """(E^r * Bal^(r+1))[.] and (E^r * Bal^r)[.] for r = 0..rmax.
+
+    Two products per r: mixed[r] = square[r] * Bal and
+    square[r + 1] = mixed[r] * E.
+    """
     e = atom("E", nmax)
     bal = atom("Bal", nmax)
     mixed = []
-    square = []
-    er = balr = atom("1", nmax)
+    square = [atom("1", nmax)]
     for r in range(rmax + 1):
-        square.append(er * balr)
-        balr = balr * bal
-        mixed.append(er * balr)
-        er = er * e
-    return mixed, square
+        mixed.append(square[r] * bal)
+        square.append(mixed[r] * e)
+    return mixed, square[:-1]
 
 
 def identity_checks(rec: CoeffSeq, nmax: int) -> list[IdentityCheck]:
@@ -149,65 +162,51 @@ def identity_checks(rec: CoeffSeq, nmax: int) -> list[IdentityCheck]:
           + sum_r (pointed R_r) (+) (int E^r Bal^(r+1)) at n
     * segment_expansion_halved: 2 Cay-count(n)
           = sum_r R_r (+) (1 + E^r Bal^r) at n
+
+    Each segment expansion is one sequence: a sum of ordinal products
+    (+) of the restrictions R_r of R truncated at nmax.
     """
     if rec.truncation < nmax:
         raise ShapeError("recurrent sequence shorter than requested range")
-    checks: list[IdentityCheck] = []
-    big_r = max(BALLOT_RMAX, nmax)
-    mixed, square = _ballot_powers(nmax, big_r)
-
-    for r in range(1, BALLOT_RMAX + 1):
-        for n in range(nmax + 1):
-            lhs = sum(
-                factorial(i) * sdiff(n + r + 1, i, r)
-                for i in range(n + r + 2)
-            )
-            rhs = factorial(r) * r * mixed[r].counts[n]
-            checks.append(IdentityCheck("ballot_block_sum", (r, n), lhs, rhs))
-
+    rec = rec.truncate(nmax)
     one = atom("1", nmax)
-    for r in range(1, BALLOT_RMAX + 1):
-        lhs_seq = mixed[r].integral()
-        rhs_seq = square[r] - one
-        for n in range(nmax + 1):
-            checks.append(
-                IdentityCheck(
-                    "ballot_integral_doubled",
-                    (r, n),
-                    2 * r * lhs_seq.counts[n],
-                    rhs_seq.counts[n],
-                )
-            )
+    mixed, square = _ballot_powers(nmax, max(BALLOT_RMAX, nmax))
+    ballot_rs = range(1, BALLOT_RMAX + 1)
 
+    checks = [
+        IdentityCheck(
+            "ballot_block_sum",
+            (r, n),
+            sum(factorial(i) * sdiff(n + r + 1, i, r) for i in range(n + r + 2)),
+            factorial(r) * r * mixed[r].counts[n],
+        )
+        for r in ballot_rs
+        for n in range(nmax + 1)
+    ]
+    for r in ballot_rs:
+        lhs, rhs = mixed[r].integral(), square[r] - one
+        checks.extend(
+            IdentityCheck("ballot_integral_doubled", (r, n), 2 * r * a, b)
+            for n, (a, b) in enumerate(zip(lhs.counts, rhs.counts))
+        )
+
+    expansion = reduce(add, (
+        ordinal_product(rec.restrict(r).pointing(), mixed[r].integral())
+        for r in range(1, nmax + 1)
+    ), rec)
+    halved = reduce(add, (
+        ordinal_product(rec.restrict(r), one + square[r])
+        for r in range(nmax + 1)
+    ))
     cayley = [cayley_count(n, rec) for n in range(nmax + 1)]
-    # Pointed-segment expansion, assembled with the actual sequence operations.
-    total = rec.truncate(nmax)
-    acc = [total.counts[n] for n in range(nmax + 1)]
-    for r in range(1, nmax + 1):
-        term = ordinal_product(
-            rec.truncate(nmax).restrict(r).pointing(), mixed[r].integral()
-        )
-        for n in range(nmax + 1):
-            acc[n] += term.counts[n]
-    for n in range(nmax + 1):
-        checks.append(
-            IdentityCheck("segment_expansion", (n,), cayley[n], acc[n])
-        )
-
-    halved = [0] * (nmax + 1)
-    for r in range(nmax + 1):
-        term = ordinal_product(rec.truncate(nmax).restrict(r), one + square[r])
-        for n in range(nmax + 1):
-            halved[n] += term.counts[n]
-    for n in range(nmax + 1):
-        checks.append(
-            IdentityCheck(
-                "segment_expansion_halved",
-                (n,),
-                2 * cayley[n],
-                halved[n],
-            )
-        )
+    checks.extend(
+        IdentityCheck("segment_expansion", (n,), c, e)
+        for n, (c, e) in enumerate(zip(cayley, expansion.counts))
+    )
+    checks.extend(
+        IdentityCheck("segment_expansion_halved", (n,), 2 * c, h)
+        for n, (c, h) in enumerate(zip(cayley, halved.counts))
+    )
     return checks
 
 
@@ -256,6 +255,14 @@ def _cycle_reference(n: int) -> str:
     return f"{0.5 * (log(2 * n) + EULER_GAMMA):.10f}"
 
 
+def _ratio_row(
+    statistic: str, n: int, num: int, den: int, reference: str
+) -> AsymptoticsRow:
+    return AsymptoticsRow(
+        statistic, n, num, den, decimal_string(num, den), reference
+    )
+
+
 def asymptotics_report(nmax: int) -> list[AsymptoticsRow]:
     """Exact ratio data for the open limit questions, n = 0..nmax.
 
@@ -266,8 +273,10 @@ def asymptotics_report(nmax: int) -> list[AsymptoticsRow]:
     from the table recursion (count_sequence), one call per recurrent
     class for all n at once: cycle totals count the class
     component_weights(R), forest cycles the pointed sets E^., and each
-    connected structure has exactly one cycle.  O(nmax^2) big-integer
-    operations in all.
+    connected structure has exactly one cycle.  The five cycle averages
+    are one table of (statistic, numerators, denominators); an average has
+    rows from n = 1, and none where its denominator is 0.  O(nmax^2)
+    big-integer operations in all.
     """
     def cayley(rec: CoeffSeq) -> tuple[int, ...]:
         return tuple(count_sequence(rec, nmax, "cayley"))
@@ -275,58 +284,27 @@ def asymptotics_report(nmax: int) -> list[AsymptoticsRow]:
     perms, der, sets = atom("S", nmax), atom("Der", nmax), atom("E", nmax)
     perm_cycles = component_weights(perms)
     fubini, cayder = cayley(perms), cayley(der)
-    end_cycles = tuple(count_sequence(perm_cycles, nmax, "endofunctions"))
     connected = cayley(atom("C", nmax))
-    cay_cycles = {
-        "all": cayley(perm_cycles),
-        "forest": cayley(sets.pointing()),
-        "connected": connected,
-        "derangement": cayley(component_weights(der)),
-    }
-    cay_total = {
-        "all": fubini,
-        "forest": cayley(sets),
-        "connected": connected,
-        "derangement": cayder,
-    }
+    cycle_averages = (
+        ("avg_cycles_endofunctions",
+         tuple(count_sequence(perm_cycles, nmax, "endofunctions")),
+         [n**n for n in range(nmax + 1)]),
+        ("avg_cycles_cayley_all", cayley(perm_cycles), fubini),
+        ("avg_cycles_cayley_forest", cayley(sets.pointing()), cayley(sets)),
+        ("avg_cycles_cayley_connected", connected, connected),
+        ("avg_cycles_cayley_derangement", cayley(component_weights(der)), cayder),
+    )
 
     rows: list[AsymptoticsRow] = []
     for n in range(nmax + 1):
-        rows.append(
-            AsymptoticsRow(
-                "cayley_derangement_fraction",
-                n,
-                cayder[n],
-                fubini[n],
-                decimal_string(cayder[n], fubini[n]),
-                INV_E,
-            )
-        )
-        if n == 0:
-            continue
-        ref = _cycle_reference(n)
-        rows.append(
-            AsymptoticsRow(
-                "avg_cycles_endofunctions",
-                n,
-                end_cycles[n],
-                n**n,
-                decimal_string(end_cycles[n], n**n),
-                ref,
-            )
-        )
-        for cname in ("all", "forest", "connected", "derangement"):
-            num, den = cay_cycles[cname][n], cay_total[cname][n]
-            if den == 0:
-                continue
-            rows.append(
-                AsymptoticsRow(
-                    f"avg_cycles_cayley_{cname}",
-                    n,
-                    num,
-                    den,
-                    decimal_string(num, den),
-                    ref,
-                )
+        rows.append(_ratio_row(
+            "cayley_derangement_fraction", n, cayder[n], fubini[n], INV_E
+        ))
+        if n:
+            ref = _cycle_reference(n)
+            rows.extend(
+                _ratio_row(statistic, n, nums[n], dens[n], ref)
+                for statistic, nums, dens in cycle_averages
+                if dens[n]
             )
     return rows

@@ -200,6 +200,20 @@ def test_two_sort_bijection_exhaustive_small():
             assert len(outputs) == digraph_count(i, j, splus), (i, j)
 
 
+def test_pointed_leaf_trees_are_two_sort_trees_with_a_last_leaf():
+    for i in range(6):
+        for j in range(7 - i):
+            split = [
+                PointedLeafTree(
+                    x_parent=t.x_parent,
+                    y_parent=t.y_parent[:-1],
+                    star_parent=t.y_parent[-1],
+                )
+                for t in two_sort_trees(i, j + 1)
+            ]
+            assert list(pointed_leaf_trees(i, j)) == split, (i, j)
+
+
 def test_sort_preservation():
     for t in pointed_leaf_trees(3, 2):
         p = pointed_tree_to_permuted_forest(t)

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -357,6 +358,22 @@ def test_report_asymptotics():
     rc, out = run(["report", "asymptotics", "--nmax", "12"])
     assert rc == 0
     assert "cayley_derangement_fraction,11,577560596,1622632573,0.3559" in out
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["report", "asymptotics", "--nmax", "8"], "report_asymptotics_nmax8"),
+        (["check", "identities", "--nmax", "5"], "check_identities_nmax5"),
+    ],
+    ids=["report", "check"],
+)
+def test_stats_commands_print_the_golden_bytes(argv, golden, fmt):
+    want = (Path(__file__).parent / "golden" / f"{golden}.{fmt}").read_bytes()
+    rc, out = run([*argv, "--format", fmt])
+    assert rc == 0
+    assert out.encode() == want
 
 
 def test_json_format_is_one_object_per_line():

@@ -60,6 +60,22 @@ def test_budgets():
         list(oracle.enumerate_maps(2, "nonsense"))
 
 
+@pytest.mark.parametrize("model", oracle.MODELS)
+def test_negative_sizes_are_rejected(model):
+    every = oracle.parse_class("all")
+    calls = (
+        lambda: oracle.check_budget(-1, model, override_budget=False),
+        lambda: oracle.check_budget(-1, model, override_budget=True),
+        lambda: oracle.enumerate_maps(-1, model),
+        lambda: oracle.count(-1, model, every),
+        lambda: oracle.count_table(-1, model, every),
+        lambda: oracle.count_table(-2, model, every, by="ijr"),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="size must be nonnegative"):
+            call()
+
+
 def _member(name, f):
     return oracle.ClassPredicate(name).matches(f)
 

@@ -52,6 +52,15 @@ def test_total_recurrent_equals_pointed_route():
                 ), (label, i, j)
 
 
+def test_total_recurrent_rejects_what_digraph_count_rejects():
+    rec = atom("S", 3)
+    for i in (-1, 4):
+        with pytest.raises(ShapeError):
+            digraph_count(i, 0, rec)
+        with pytest.raises(ShapeError):
+            total_recurrent_points(i, 0, rec)
+
+
 def test_total_recurrent_all_points_when_no_leaves():
     s3 = atom("S_r", 5, 3)
     assert total_recurrent_points(3, 0, s3) == 3 * s3.counts[3]
