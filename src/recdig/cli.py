@@ -16,8 +16,10 @@ served by the two-sort table recursion (digraphs.count_sequence), which
 streams: seq writes count n as soon as the sort merge has made it final,
 so ``recdig seq end --nmax 2000 | head`` gets its first lines at once, and
 verify writes row n as soon as the oracle has counted n.
-table sdiff and check identities use the closed form over Stirling
-differences; count and the oracle column of verify enumerate.
+table sdiff streams one column of the Stirling differences
+(stirling.sdiff_rows) in O(nmax) memory, one row n at a time; check
+identities uses the closed form over them; count and the oracle column
+of verify enumerate.
 
 Each command imports the modules it runs inside its handler, and the
 parser reads its class and model names from their modules only when it
@@ -178,17 +180,17 @@ def _cmd_seq(args, out) -> int:
 
 
 def _cmd_table(args, out) -> int:
-    if args.kind == "sdiff":
-        from recdig.stirling import sdiff
+    from itertools import count, islice, repeat
 
-        blocks = (
-            [(n, m, sdiff(n, m, args.r)) for m in range(1, n + 1)]
-            for n in range(1, args.nmax + 1)
-        )
+    if args.kind == "sdiff":
+        from recdig.stirling import sdiff_rows
+
+        # Rows and columns from 1: the n = 0 row and the m = 0 cells are left out.
+        rows = enumerate(sdiff_rows(args.r, args.nmax))
+        next(rows)
+        blocks = (zip(repeat(n), count(1), islice(row, 1, None)) for n, row in rows)
         _emit(["n", "m", "value"], blocks, args.format, out)
     else:
-        from itertools import count, repeat
-
         from recdig import digraphs
         from recdig.series import atom
 

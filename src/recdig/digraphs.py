@@ -18,8 +18,7 @@ Three independent routes to the same numbers live here:
 The recursion serves: count_sequence streams the table through a sort
 merge in O(N^2) time and O(N) memory, yields each count as soon as it is
 final, and answers the CLI's seq, verify and report commands.  The closed
-form is the independent check on it (the table sdiff and check identities
-commands, and the tests).
+form is the independent check on it (check identities and the tests).
 
 Every division in the closed formulas is exact; each one is asserted.
 """
@@ -61,10 +60,10 @@ def digraph_count_by_recurrent(i: int, j: int, r: int, rec: CoeffSeq) -> int:
     """Digraphs on [i, j] whose recurrent part is an R-structure of size r.
 
     Closed formula i! * |R[r]| / r! * sdiff(i+j, i, r); the division by r!
-    is performed last and checked exact.
+    is performed last and checked exact.  A negative index is a ShapeError.
     """
-    if i < 0 or j < 0 or r < 0:
-        raise ValueError("indices must be nonnegative")
+    if i < 0 or j < 0:
+        raise ShapeError(f"digraph_count_by_recurrent: size ({i}, {j}) is negative")
     _need_truncation(rec, r, "digraph_count_by_recurrent")
     return exact_div(
         factorial(i) * rec.counts[r] * sdiff(i + j, i, r), factorial(r)

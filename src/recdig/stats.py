@@ -21,8 +21,9 @@ sequences, and reads them off per n.
 from __future__ import annotations
 
 from functools import reduce
+from itertools import repeat
 from math import factorial, log
-from operator import add
+from operator import add, mul
 
 from recdig._record import Record
 from recdig.digraphs import (
@@ -52,14 +53,14 @@ def ordinal_product(a: CoeffSeq, b: CoeffSeq) -> CoeffSeq:
     """Structures on an initial and a terminal segment of a total order.
 
     Plain (non-binomial) convolution: the segment split leaves no label
-    choices.
+    choices.  Only the nonzero counts of a are convolved: O(nmax) for R_r.
     """
     same_truncation(a, b, "ordinal product")
-    counts = tuple(
-        sum(a.counts[k] * b.counts[n - k] for k in range(n + 1))
-        for n in range(len(a.counts))
-    )
-    return CoeffSeq(counts, virtual=a.virtual or b.virtual)
+    counts = [0] * len(a.counts)
+    for k, x in enumerate(a.counts):
+        if x:  # row k of the product: x * b, shifted by k
+            counts[k:] = map(add, counts[k:], map(mul, repeat(x), b.counts))
+    return CoeffSeq(tuple(counts), virtual=a.virtual or b.virtual)
 
 
 # -- statistic totals ---------------------------------------------------------
@@ -68,8 +69,8 @@ def ordinal_product(a: CoeffSeq, b: CoeffSeq) -> CoeffSeq:
 def total_recurrent_points(i: int, j: int, rec: CoeffSeq) -> int:
     """Sum of the number of recurrent points over all structures on [i, j].
 
-    Checks i as digraph_count does: a negative size, or one past the
-    truncation of rec, raises ShapeError.
+    Checks its indices as digraph_count does: a negative i or j, or an i
+    past the truncation of rec, raises ShapeError.
     """
     _need_truncation(rec, i, "total_recurrent_points")
     return sum(

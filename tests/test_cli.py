@@ -105,6 +105,39 @@ def test_table_sdiff_matches_printed_triangle():
     assert cells[(1, 1)] == 0
 
 
+class _CountingOut:
+    """A stdout that keeps only the number of characters written to it."""
+
+    size = 0
+
+    def write(self, text):
+        self.size += len(text)
+
+    def flush(self):
+        pass
+
+
+def test_table_sdiff_streams_one_column():
+    # The column builder holds one row at a time and never fills the
+    # point lookup's cache; the cached recursion took 46,042 entries and
+    # 11.2 MB here.
+    import tracemalloc
+
+    from recdig.stirling import sdiff
+
+    sdiff.cache_clear()
+    out = _CountingOut()
+    tracemalloc.start()
+    try:
+        assert main(["table", "sdiff", "--r", "2", "--nmax", "300"], out=out) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.size > 10**6
+    assert sdiff.cache_info().currsize == 0
+    assert peak < 2 * 2**20, peak
+
+
 def test_table_psi():
     rc, out = run(["table", "psi", "--R", "Der", "--nmax", "4"])
     assert rc == 0

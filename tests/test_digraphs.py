@@ -82,6 +82,16 @@ def test_truncation_guards():
             count()
 
 
+def test_negative_indices_raise_shape_error():
+    rec = atom("S", 4)
+    for i, j, r in ((-1, 1, 1), (1, -1, 1), (1, 1, -1)):
+        with pytest.raises(ShapeError):
+            digraph_count_by_recurrent(i, j, r, rec)
+    for i, j in ((-1, 1), (1, -1), (0, -1)):
+        with pytest.raises(ShapeError):
+            digraph_count(i, j, rec)
+
+
 def test_recursion_table_matches_formula():
     for label in ("S", "X", "E", "C", "Der"):
         rec = atom(label, 12)

@@ -38,6 +38,9 @@ def test_ordinal_product():
     x = atom("X", 3)
     assert ordinal_product(x, x).counts == (0, 0, 1, 0)
     assert (x * x).counts == (0, 0, 2, 0)
+    s = atom("S", 5)
+    assert ordinal_product(s.restrict(2), atom("Bal", 5)).counts == (0, 0, 2, 2, 6, 26)
+    assert ordinal_product(s, s).counts == (1, 2, 5, 16, 64, 312)
     with pytest.raises(ShapeError):
         ordinal_product(x, atom("X", 5))
 
@@ -59,6 +62,14 @@ def test_total_recurrent_rejects_what_digraph_count_rejects():
             digraph_count(i, 0, rec)
         with pytest.raises(ShapeError):
             total_recurrent_points(i, 0, rec)
+
+
+def test_totals_reject_every_negative_index():
+    rec = atom("S", 3)
+    for total in (total_recurrent_points, total_components):
+        for i, j in ((-1, 1), (1, -1), (0, -1)):
+            with pytest.raises(ShapeError):
+                total(i, j, rec)
 
 
 def test_total_recurrent_all_points_when_no_leaves():

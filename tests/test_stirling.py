@@ -1,7 +1,7 @@
 import pytest
 
 from bruteforce import r_stirling_brute, sdiff_histogram, set_partitions
-from recdig.stirling import iter_sdiff_levels, r_stirling, sdiff
+from recdig.stirling import iter_sdiff_levels, r_stirling, sdiff, sdiff_rows
 
 # The four printed golden triangles: TRIANGLES[r][n - 1][m - 1].
 TRIANGLES = {
@@ -135,3 +135,23 @@ def test_iter_levels_streams_the_same_values():
         for m in range(n + 1):
             for r in range(n + 1):
                 assert level[m][r] == sdiff(n, m, r)
+
+
+def test_rows_equal_the_point_lookup():
+    # Every column r = 0..8 to n = 40, and columns past nmax (all zero).
+    for r in range(9):
+        for nmax in (0, 1, r - 1, r, 40):
+            if nmax < 0:
+                continue
+            assert list(sdiff_rows(r, nmax)) == [
+                [sdiff(n, m, r) for m in range(n + 1)] for n in range(nmax + 1)
+            ], (r, nmax)
+    assert list(sdiff_rows(-1, 3)) == [[0] * (n + 1) for n in range(4)]
+    assert list(sdiff_rows(2, -1)) == []
+
+
+def test_r_stirling_is_a_plain_sum():
+    # The telescoping sum over sdiff: no cache and no recursion of its own.
+    assert not hasattr(r_stirling, "cache_info")
+    assert r_stirling(-1, 0, 0) == r_stirling(3, 2, -1) == r_stirling(3, 4, 0) == 0
+    assert r_stirling(3, 2, 4) == 0
