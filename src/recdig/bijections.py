@@ -12,8 +12,13 @@ is left untouched.
 The two-sort pair does the same between rooted trees carrying one extra
 distinguished leaf and permutations of rooted trees: the spine runs from
 the extra leaf (excluded) up to the root, and cutting it turns each spine
-node into the root of its own tree.  Both pairs share one spine cut and
-one spine link, so each round trip is linear up to sorting the spine.
+node into the root of its own tree; the pair shares one spine cut and one
+spine link.  Every map is one pass over the structure up to sorting the
+spine: the unisort backward map links the spine into a copy of f as it
+reads the sorted recurrent points, and the forward map climbs once and
+writes once.  Each constructor validates in one pass too (one climb per
+node, one childless set), and the two-sort enumerators skip a Pruefer
+code with too many childless nodes before decoding it.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from recdig._record import Record
-from recdig.oracle import Endofunction, check_endofunction, recurrent_points
+from recdig.oracle import Endofunction, _cycles, check_endofunction
 
 
 class StructureError(ValueError):
@@ -68,28 +73,45 @@ class DoublyRootedTree(Record):
 def _roots(parent: tuple[int | None, ...], single_root: bool) -> list[int]:
     """Check that a parent map on [n] is a forest; return its roots in order.
 
-    Climb from every node until a root or a node stamped by an earlier
-    climb, which is known to reach a root; meeting the climb's own stamp
-    means a cycle.  Each node is climbed through once.
+    Climb from every node not yet stamped until a root or a node stamped by
+    an earlier climb, which is known to reach a root; meeting the climb's
+    own stamp means a cycle.  Each node is climbed through once.
     """
     n = len(parent)
-    roots = [v for v, p in enumerate(parent, 1) if p is None]
-    if not roots:
-        raise StructureError("no root")
-    if single_root and len(roots) != 1:
-        raise StructureError("expected exactly one root")
+    if single_root:
+        count = parent.count(None)
+        if not count:
+            raise StructureError("no root")
+        if count != 1:
+            raise StructureError("expected exactly one root")
+        roots = [parent.index(None) + 1]
+    else:
+        roots = [v for v, p in enumerate(parent, 1) if p is None]
+        if not roots:
+            raise StructureError("no root")
     for p in parent:
         if p is not None and not 1 <= p <= n:
             raise StructureError(f"parent {p} outside [1..{n}]")
+    up = (None, *parent)  # up[v] is the parent of v
     stamp = [0] * (n + 1)
     for x in range(1, n + 1):
+        if stamp[x]:
+            continue
         v: int | None = x
         while v is not None and not stamp[v]:
             stamp[v] = x
-            v = parent[v - 1]
+            v = up[v]
         if v is not None and stamp[v] == x:
             raise StructureError("parent map has a cycle")
     return roots
+
+
+def _climb(parent: Sequence[int | None], start: int) -> list[int]:
+    """The path from start up to the root: the spine word, tail first."""
+    spine = [start]
+    while (p := parent[spine[-1] - 1]) is not None:
+        spine.append(p)
+    return spine
 
 
 def _spine(parent: Sequence[int | None], start: int) -> tuple[list, list]:
@@ -98,9 +120,7 @@ def _spine(parent: Sequence[int | None], start: int) -> tuple[list, list]:
     Returns the parent map with every spine node made a root, and the
     pairs (u_t, w_t) of the sorted spine labels u with the spine word w.
     """
-    spine = [start]
-    while (p := parent[spine[-1] - 1]) is not None:
-        spine.append(p)
+    spine = _climb(parent, start)
     cut = list(parent)
     for w in spine:
         cut[w - 1] = None
@@ -120,22 +140,34 @@ def endofunction_to_tree(f: Endofunction) -> DoublyRootedTree:
     """Cut the cycles of f open into a spine; trees hang where they were.
 
     The recurrent points u_1 < ... < u_s give the spine word
-    w_t = f(u_t); the tail is w_1 and the head w_s.
+    w_t = f(u_t); the tail is w_1 and the head w_s.  The spine is linked
+    into a copy of f as the word is read.
     """
     f = check_endofunction(f)
     if not f:
         raise StructureError("the empty endofunction has no tree counterpart")
-    spine = [f[u - 1] for u in sorted(recurrent_points(f))]
-    return DoublyRootedTree(parent=_link(f, spine), tail=spine[0])
+    points = _cycles(f)[0]
+    points.sort()
+    parent: list[int | None] = list(f)
+    tail = w = f[points[0] - 1]
+    for u in points[1:]:
+        nxt = f[u - 1]
+        parent[w - 1] = nxt
+        w = nxt
+    parent[w - 1] = None
+    return DoublyRootedTree(parent=tuple(parent), tail=tail)
 
 
 def tree_to_endofunction(t: DoublyRootedTree) -> Endofunction:
     """Read the spine as a permutation of its sorted labels; hang the rest.
 
     A node off the spine maps to its parent, its neighbor toward the spine.
+    One climb reads the spine, and one pass writes it over a copy of the
+    parent map: every spine node is overwritten, the head included.
     """
-    f, pairs = _spine(t.parent, t.tail)
-    for u, w in pairs:
+    spine = _climb(t.parent, t.tail)
+    f = list(t.parent)
+    for u, w in zip(sorted(spine), spine):
         f[u - 1] = w
     return tuple(f)
 
@@ -155,10 +187,12 @@ def _check_forest(
     """
     roots = _roots(x_parent, single_root)
     i = len(x_parent)
-    for y, p in enumerate(y_parent):
-        if not 1 <= p <= i:
-            raise StructureError(f"leaf {y + 1} parent {p} outside [1..{i}]")
-    bare = _childless(x_parent).difference(y_parent, roots)
+    if y_parent and not (1 <= min(y_parent) and max(y_parent) <= i):
+        for y, p in enumerate(y_parent, 1):  # name the first bad leaf
+            if not 1 <= p <= i:
+                raise StructureError(f"leaf {y} parent {p} outside [1..{i}]")
+    bare = set(range(1, i + 1))
+    bare.difference_update(x_parent, y_parent, roots)
     if bare:
         raise StructureError(
             f"non-root internal node {min(bare)} has no children"
@@ -230,11 +264,15 @@ class PermutedForest(Record):
         root_image: tuple[tuple[int, int], ...],
     ):
         roots = _check_forest(x_parent, y_parent, single_root=False)
-        dom = sorted(r for r, _ in root_image)
-        img = sorted(v for _, v in root_image)
-        if dom != roots or img != roots:
+        # Valid input is a tuple whose domain is the roots in ascending
+        # order, so one comparison checks the domain and the order; a list
+        # of pairs is unsorted, as it never equals the sorted tuple of them.
+        dom = [r for r, _ in root_image]
+        if sorted(v for _, v in root_image) != roots or (
+            dom != roots and sorted(dom) != roots
+        ):
             raise StructureError("root_image must permute the forest roots")
-        if root_image != tuple(sorted(root_image)):
+        if dom != roots or not isinstance(root_image, tuple):
             raise StructureError("root_image pairs must be sorted by root")
         object.__setattr__(self, "x_parent", x_parent)
         object.__setattr__(self, "y_parent", y_parent)
@@ -275,25 +313,33 @@ def doubly_rooted_trees(n: int) -> Iterator[DoublyRootedTree]:
 def rooted_parent_maps(i: int) -> Iterator[tuple[int | None, ...]]:
     """All i^(i-1) rooted labeled trees on [i], as parent tuples.
 
-    Each sequence in [i]^(i-1) is decoded as a rooted Pruefer code: the
-    smallest childless node other than the root is removed, and its parent
-    is the next entry.  The last entry is the root.
+    Each sequence in [i]^(i-1) is decoded as a rooted Pruefer code by
+    _decode, in lexicographic order of the codes.
     """
     if i < 1:
         return
-    nodes = range(1, i + 1)
-    for code in product(nodes, repeat=i - 1):
-        children = [0] * (i + 1)
-        for v in code:
-            children[v] += 1
-        childless = [v for v in nodes if not children[v]]  # sorted: a heap
-        parent: list[int | None] = [None] * (i + 1)
-        for p in code:
-            parent[heapq.heappop(childless)] = p
-            children[p] -= 1
-            if not children[p]:
-                heapq.heappush(childless, p)
-        yield tuple(parent[1:])
+    for code in product(range(1, i + 1), repeat=i - 1):
+        yield _decode(code, i)
+
+
+def _decode(code: tuple[int, ...], i: int) -> tuple[int | None, ...]:
+    """The rooted tree on [i] of a rooted Pruefer code of length i - 1.
+
+    The smallest childless node other than the root is removed, and its
+    parent is the next entry.  The last entry is the root.  The entries are
+    the parents, so the nodes with children are exactly the distinct ones.
+    """
+    children = [0] * (i + 1)
+    for v in code:
+        children[v] += 1
+    childless = [v for v in range(1, i + 1) if not children[v]]  # sorted: a heap
+    parent: list[int | None] = [None] * (i + 1)
+    for p in code:
+        parent[heapq.heappop(childless)] = p
+        children[p] -= 1
+        if not children[p]:
+            heapq.heappush(childless, p)
+    return tuple(parent[1:])
 
 
 def _two_sort_shapes(
@@ -303,13 +349,19 @@ def _two_sort_shapes(
 
     Skeletons come in rooted_parent_maps order and the leaf parents
     lexicographically within each.  Every childless internal node needs a
-    leaf, save the root of a one-node skeleton, which may stay bare.
+    leaf, save the root of a one-node skeleton, which may stay bare.  The
+    childless nodes are read off the code, so a code with more than j of
+    them is skipped before it is decoded.
     """
-    for skeleton in rooted_parent_maps(i):
-        bare = _childless(skeleton) if i > 1 else set()
+    if i < 1:
+        return
+    nodes = range(1, i + 1)
+    for code in product(nodes, repeat=i - 1):
+        bare = set(nodes).difference(code) if i > 1 else set()
         if len(bare) > j:
             continue
-        for attach in product(range(1, i + 1), repeat=j):
+        skeleton = _decode(code, i)
+        for attach in product(nodes, repeat=j):
             if bare.issubset(attach):
                 yield skeleton, attach
 
@@ -329,10 +381,6 @@ def pointed_leaf_trees(i: int, j: int) -> Iterator[PointedLeafTree]:
         yield PointedLeafTree(
             x_parent=skeleton, y_parent=attach[:-1], star_parent=attach[-1]
         )
-
-
-def _childless(skeleton: tuple[int | None, ...]) -> set[int]:
-    return set(range(1, len(skeleton) + 1)).difference(skeleton)
 
 
 # -- DOT export ----------------------------------------------------------------

@@ -289,11 +289,13 @@ def _cmd_check(args, out) -> int:
     from recdig import stats
     from recdig.series import atom
 
+    labels = ("S", "Der")
+    recs = [atom(label, args.nmax) for label in labels]
+    suite = stats.identity_suite(recs, args.nmax)
     rows = []
     bad = 0
-    for label in ("S", "Der"):
-        rec = atom(label, args.nmax)
-        for check in stats.identity_checks(rec, args.nmax):
+    for label, checks in zip(labels, suite):
+        for check in checks:
             status = "ok" if check.ok else "FAIL"
             bad += not check.ok
             rows.append((

@@ -15,21 +15,27 @@ Every map is visited, and `ClassPredicate.matches` alone decides each
 class, from the map and reading only what the class needs: one scan for a
 fixed point, the image size, or the cycles.  One stamped walk per start
 node finds the cycles, which gives the recurrent set and the cycle lengths
-in one linear pass.  `classify` describes the structure of a map (image,
+in one linear pass; tree, forest and connected stop it as soon as their
+answer is known.  `classify` describes the structure of a map (image,
 recurrent points, cycle lengths) and decides no class; no count needs it.
 `enumerate_cayley` walks an explicit stack of prefixes and emits the
 completions of each prefix as one block: a product, the permutations of
 the missing values, or a memoized list of short tails.
 On a 2 vCPU Xeon under Python 3.11.7, over the Cayley maps of [7], a class
-test runs at 0.21M-0.22M maps/s (indegree_bounded:2, the slowest) to
-1.0M-1.4M maps/s (derangement), and `classify` 131k-137k maps/s; Cayley
-maps are enumerated at 3.8M maps/s at n = 8.  Each range is two runs.
+test runs at 0.23M-0.30M maps/s (indegree_bounded:2, the slowest) to
+1.0M-1.2M maps/s (derangement), tree and forest at 0.40M-0.66M, and
+`classify` at 155k-170k maps/s; Cayley maps are enumerated at 3.8M maps/s
+at n = 8.  Each range is two runs, and the machine's speed drifts by tens
+of per cent; interleaved over the same maps (Cayley maps of [7],
+endofunctions of [6]), the early stop takes tree and forest 0.83-0.96 of
+the time of a full walk, and connected 0.96-1.05.
 """
 
 from __future__ import annotations
 
 from itertools import chain, permutations, product
 from operator import eq
+from sys import maxsize
 from typing import Iterable, Iterator, NamedTuple
 
 from recdig._record import Record
@@ -169,13 +175,19 @@ class DigraphProfile(NamedTuple):
         return len(self.cycle_lengths)
 
 
-def _cycles(f: Endofunction) -> tuple[list[int], list[int]]:
+def _cycles(
+    f: Endofunction, stop: tuple[int, int] | None = None
+) -> tuple[list[int], list[int]]:
     """The recurrent points of f and its cycle lengths, in one linear pass.
 
     A walk starts at each node not yet stamped and stamps every node it
     meets with its start until it reaches a stamped node.  If that node
     carries the walk's own stamp, the walk has closed a new cycle through
     it, which is then read once more for its points and its length.
+
+    Given stop = (most, longest), the pass ends after the first cycle that
+    makes more than most cycles or is longer than longest: the class tests
+    that read only those facts stop there.  Without it every cycle is read.
     """
     succ = (0, *f)
     stamp = [0] * len(succ)
@@ -197,13 +209,15 @@ def _cycles(f: Endofunction) -> tuple[list[int], list[int]]:
                 if u == v:
                     break
             lengths.append(len(points) - first)
+            if stop and (len(lengths) > stop[0] or lengths[-1] > stop[1]):
+                break
     return points, lengths
 
 
 def recurrent_points(f: Endofunction) -> frozenset[int]:
     """The nodes on the cycles of f, from the stamped walk of `classify`.
 
-    `classify` and the spine bijections share this routine.  That keeps the
+    `classify` and the spine bijections share that walk.  That keeps the
     routes independent: the oracle's counts are checked against the closed
     form and the table recursion, and the bijections by their own round
     trips and by the tree counts the closed form gives.
@@ -215,8 +229,9 @@ def classify(f: Endofunction) -> DigraphProfile:
     """The structure of a functional digraph; depends only on the value
     tuple.  Class membership is decided by ClassPredicate.matches alone."""
     points, lengths = _cycles(f)
-    lengths.sort()
-    return DigraphProfile(len(f), frozenset(f), frozenset(points), tuple(lengths))
+    return DigraphProfile(
+        len(f), frozenset(f), frozenset(points), tuple(sorted(lengths))
+    )
 
 
 def compose_power(f: Endofunction, k: int) -> Endofunction:
@@ -244,8 +259,16 @@ CLASS_NAMES = (
 )
 # The least parameter k of each class that takes one; the others take none.
 CLASS_PARAM_MIN = {"idempotent": 2, "indegree_bounded": 1}
-# The classes whose rule in ClassPredicate.matches reads the cycles of f.
-_CYCLE_CLASSES = frozenset({"tree", "forest", "connected", "indegree_bounded"})
+# The classes whose rule in ClassPredicate.matches reads the cycles of f,
+# each with the (most, longest) stop rule of its own walk: tree, forest and
+# connected know their answer at the second cycle or at the first cycle
+# longer than 1; indegree_bounded reads every cycle.
+_CYCLE_CLASSES = {
+    "tree": (1, 1),
+    "forest": (maxsize, 1),
+    "connected": (1, maxsize),
+    "indegree_bounded": None,
+}
 
 
 class ClassPredicate(Record):
@@ -278,8 +301,10 @@ class ClassPredicate(Record):
         needs: one scan for a fixed point, the image size, the k-fold
         composite, or the cycles of one `_cycles` walk.  A caller that has
         already walked f passes that walk as cycles, which is read only by
-        the classes in _CYCLE_CLASSES.  profile is accepted for callers that
-        pass classify(f) and never read.
+        the classes in _CYCLE_CLASSES.  Given no walk, tree, forest and
+        connected stop theirs as soon as the answer is known: at the second
+        cycle, or at the first cycle longer than 1.  profile is accepted for
+        callers that pass classify(f) and never read.
         """
         name = self.name
         if name == "all":
@@ -290,7 +315,7 @@ class ClassPredicate(Record):
             return max(f, default=0) == len(set(f))
         if name == "idempotent":
             return compose_power(f, self.param) == f
-        points, lengths = _cycles(f) if cycles is None else cycles
+        points, lengths = cycles or _cycles(f, _CYCLE_CLASSES[name])
         if name == "tree":
             return lengths == [1]
         if name == "forest":

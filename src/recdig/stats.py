@@ -15,7 +15,8 @@ recursion (digraphs.count_sequence), so the two routes stay independent.
 The report is one table of (statistic, numerators, denominators) and one
 row helper.  The identity suite builds its ballot products (two per r)
 and its two segment expansions (sums of ordinal products) as whole
-sequences, and reads them off per n.
+sequences, and reads them off per n; `identity_suite` builds the ballot
+side, which does not depend on R, once for every R it checks.
 """
 
 from __future__ import annotations
@@ -167,14 +168,25 @@ def identity_checks(rec: CoeffSeq, nmax: int) -> list[IdentityCheck]:
     Each segment expansion is one sequence: a sum of ordinal products
     (+) of the restrictions R_r of R truncated at nmax.
     """
-    if rec.truncation < nmax:
-        raise ShapeError("recurrent sequence shorter than requested range")
-    rec = rec.truncate(nmax)
+    return identity_suite([rec], nmax)[0]
+
+
+def identity_suite(recs: list[CoeffSeq], nmax: int) -> list[list[IdentityCheck]]:
+    """identity_checks(rec, nmax) for each rec in recs, in order.
+
+    The ballot products and the two ballot families do not depend on R, so
+    they are built once and shared by every list; only the segment
+    expansions are evaluated per R.
+    """
+    for rec in recs:
+        if rec.truncation < nmax:
+            raise ShapeError("recurrent sequence shorter than requested range")
     one = atom("1", nmax)
     mixed, square = _ballot_powers(nmax, max(BALLOT_RMAX, nmax))
+    integrals = [m.integral() for m in mixed]
     ballot_rs = range(1, BALLOT_RMAX + 1)
 
-    checks = [
+    ballot = [
         IdentityCheck(
             "ballot_block_sum",
             (r, n),
@@ -185,30 +197,37 @@ def identity_checks(rec: CoeffSeq, nmax: int) -> list[IdentityCheck]:
         for n in range(nmax + 1)
     ]
     for r in ballot_rs:
-        lhs, rhs = mixed[r].integral(), square[r] - one
-        checks.extend(
+        lhs, rhs = integrals[r], square[r] - one
+        ballot.extend(
             IdentityCheck("ballot_integral_doubled", (r, n), 2 * r * a, b)
             for n, (a, b) in enumerate(zip(lhs.counts, rhs.counts))
         )
+    lifted = [one + sq for sq in square[: nmax + 1]]
+    return [ballot + _segment_checks(rec.truncate(nmax), integrals, lifted)
+            for rec in recs]
 
+
+def _segment_checks(
+    rec: CoeffSeq, integrals: list[CoeffSeq], lifted: list[CoeffSeq]
+) -> list[IdentityCheck]:
+    """The two segment expansions of rec, given int E^r Bal^(r+1) and
+    1 + E^r Bal^r for r = 0..nmax, where nmax is rec's truncation."""
+    nmax = rec.truncation
     expansion = reduce(add, (
-        ordinal_product(rec.restrict(r).pointing(), mixed[r].integral())
+        ordinal_product(rec.restrict(r).pointing(), integrals[r])
         for r in range(1, nmax + 1)
     ), rec)
     halved = reduce(add, (
-        ordinal_product(rec.restrict(r), one + square[r])
-        for r in range(nmax + 1)
+        ordinal_product(rec.restrict(r), lifted[r]) for r in range(nmax + 1)
     ))
     cayley = [cayley_count(n, rec) for n in range(nmax + 1)]
-    checks.extend(
+    return [
         IdentityCheck("segment_expansion", (n,), c, e)
         for n, (c, e) in enumerate(zip(cayley, expansion.counts))
-    )
-    checks.extend(
+    ] + [
         IdentityCheck("segment_expansion_halved", (n,), 2 * c, h)
         for n, (c, h) in enumerate(zip(cayley, halved.counts))
-    )
-    return checks
+    ]
 
 
 # -- asymptotics report ----------------------------------------------------------

@@ -23,14 +23,18 @@ def sdiff_rows(r: int, nmax: int) -> Iterator[list[int]]:
     Row n is m * prev[m] + prev[m - 1], anchored at the all-singletons
     partition (sdiff(r, r, r) = 1), with one genuine exception: sdiff(r + 1,
     r + 1, r) = 0, since all singletons have maximal prefix r + 1, never r.
-    Rows below r are zero.  Each row is a new list and only the previous
-    one is kept, so memory is O(nmax) integers.
+    Rows below r are zero and are yielded without arithmetic.  Each row is
+    a new list and only the previous one is kept, so memory is O(nmax)
+    integers.
     """
     row: list[int] = []
     for n in range(nmax + 1):
-        row = [m * a + b for m, a, b in zip(range(n + 1), row + [0], [0] + row)]
-        if r <= n <= r + 1:
-            row[n] = int(n == r)  # the anchor and the exception
+        if n < r:
+            row = [0] * (n + 1)
+        else:
+            row = [m * a + b for m, a, b in zip(range(n + 1), row + [0], [0] + row)]
+            if n <= r + 1:
+                row[n] = int(n == r)  # the anchor and the exception
         yield row
 
 

@@ -317,15 +317,19 @@ def _members_by_profile(f, p):
 
 def test_matches_and_counts_read_no_profile(monkeypatch):
     # matches(f), given no profile, against membership by definition, on
-    # every map of [n]: endofunctions to n = 6 and the Cayley maps of [7]
-    # (smaller Cayley maps are among the endofunctions).  The same sweep
-    # keeps reference tables by (i, j, r) to n = 6 for six classes in both
-    # models; count_table and count must then give them with classify
-    # refusing, the pattern of test_idempotent_class_counts.
+    # both paths (its own walk, which may stop early, and a full walk passed
+    # in as cycles) and on every map of [n]: endofunctions to n = 6 and the
+    # Cayley maps of [7] (smaller Cayley maps are among the endofunctions).
+    # The same sweep keeps reference tables by (i, j, r) to n = 6 for six
+    # classes in both models; count_table and count must then give them
+    # with classify refusing, the pattern of test_idempotent_class_counts.
     counted = [(_EVERY_CLASS.index(pred), pred) for pred in map(
         oracle.parse_class, ("cayley", "tree", "forest", "connected",
                              "derangement", "indegree_bounded:2"),
     )]
+    # The classes that read a walk passed in; the others ignore it.
+    walkers = [(slot, pred) for slot, pred in enumerate(_EVERY_CLASS)
+               if pred.name in oracle._CYCLE_CLASSES]
     want = {}
     for model, sizes in (("endofunctions", range(7)), ("cayley", (7,))):
         for n in sizes:
@@ -333,6 +337,9 @@ def test_matches_and_counts_read_no_profile(monkeypatch):
                 p = _reference_profile(f)
                 members = _members_by_profile(f, p)
                 assert [pred.matches(f) for pred in _EVERY_CLASS] == members, f
+                walk = oracle._cycles(f)  # the path of a caller that walked f
+                assert [pred.matches(f, cycles=walk) for _, pred in walkers] == [
+                    members[slot] for slot, _ in walkers], f
                 if n == 7:
                     continue
                 key = (p.internal_count, p.leaf_count, p.recurrent_count)
