@@ -19,12 +19,20 @@ verify writes row n as soon as the oracle has counted n.
 table sdiff streams one column of the Stirling differences
 (stirling.sdiff_rows) in O(nmax) memory, one row n at a time; check
 identities uses the closed form over them; count and the oracle column
-of verify enumerate.
+of verify enumerate.  table psi streams the rows of the same row kernel
+(digraphs.digraph_rows) seeded with R's counts as decimal.Decimal: every
+cell is an exact integer Decimal, whose str() is linear in its digits
+where int's is quadratic before CPython 3.12, and the context it runs in
+raises on any rounding (exit 4).  table sdiff stays on ints: its cells
+are short at the sizes it is run at, where Decimal arithmetic cost more
+than the printing saved.
 
 Each command imports the modules it runs inside its handler, and the
 parser reads its class and model names from their modules only when it
 checks or lists them, so a cold start loads no route a command does not
-run.
+run.  main lifts the int -> str digit limit (Python 3.11+) for the
+command only, and an in-process caller gets its own limit and decimal
+context back.
 """
 
 from __future__ import annotations
@@ -76,6 +84,12 @@ def _emit(
     with one ``%s`` template, which calls ``str()`` on every cell, so the
     bytes are the cells' decimal strings joined by commas; JSON prints one
     object per row.  This is the only writer of CSV and JSON rows.
+
+    A cell is an int or an integer ``decimal.Decimal`` (``table psi``);
+    both print the same digits.  For big cells the ``str()`` calls are
+    most of the work: an int's is quadratic in its digits before CPython
+    3.12, a Decimal's is linear, and ``table psi --R Der --nmax 600``
+    spends under 0.3 s of its run in the kernel.
     """
     if fmt == "csv":
         out.write(",".join(headers) + "\n")
@@ -191,12 +205,23 @@ def _cmd_table(args, out) -> int:
         blocks = (zip(repeat(n), count(1), islice(row, 1, None)) for n, row in rows)
         _emit(["n", "m", "value"], blocks, args.format, out)
     else:
-        from recdig import digraphs
-        from recdig.series import atom
+        from decimal import (
+            MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded,
+            localcontext,
+        )
 
-        table = digraphs.digraph_rows(atom(args.rec, args.nmax), args.nmax)
-        blocks = (zip(repeat(i), count(), row) for i, row in enumerate(table))
-        _emit(["i", "j", "value"], blocks, args.format, out)
+        from recdig.digraphs import digraph_rows
+        from recdig.series import CoeffSeq, atom
+
+        # Decimal seeds give Decimal cells (see the module docstring); the
+        # context keeps every digit, and a rounding would raise.
+        seeds = CoeffSeq(tuple(map(Decimal, atom(args.rec, args.nmax).counts)))
+        exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                        traps=[Inexact, Rounded])
+        with localcontext(exact):
+            table = digraph_rows(seeds, args.nmax)
+            blocks = (zip(repeat(i), count(), row) for i, row in enumerate(table))
+            _emit(["i", "j", "value"], blocks, args.format, out)
     return EXIT_OK
 
 
@@ -330,9 +355,20 @@ def _cmd_report(args, out) -> int:
 
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out or sys.stdout
-    if hasattr(sys, "set_int_max_str_digits"):  # Python 3.11+
-        # Counts pass the default 4300-digit limit on int -> str near n = 1490.
-        sys.set_int_max_str_digits(0)
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.11: no limit
+        return _run(argv, out)
+    # Counts pass the default 4300-digit limit on int -> str near n = 1490.
+    # The limit is lifted for the command only: an in-process caller gets
+    # its own back.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv, out)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv: list[str] | None, out) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -20,6 +20,13 @@ merge in O(N^2) time and O(N) memory, yields each count as soon as it is
 final, and answers the CLI's seq, verify and report commands.  The closed
 form is the independent check on it (check identities and the tests).
 
+The row kernel (_rows) only adds and multiplies, so it is generic in its
+number type: seeded with decimal.Decimal counts under an exact context
+it yields exact integer Decimals, which table psi prints in linear time.
+recdig.tables (the sort merges, CoeffTable, the tree solver) is imported
+inside the functions that use it, so digraph_rows alone loads no table
+machinery.
+
 Every division in the closed formulas is exact; each one is asserted.
 """
 
@@ -33,7 +40,6 @@ from typing import Iterator, Sequence
 
 from recdig.series import CoeffSeq, ShapeError, atom, pascal_rows
 from recdig.stirling import sdiff
-from recdig.tables import CoeffTable, merge_sorts, solve_tree_equation
 
 
 class InexactDivisionError(ArithmeticError):
@@ -129,6 +135,8 @@ def _rows(r: Sequence[int], a: int, nu: Sequence[int], n: int) -> Iterator[list[
 
 def digraph_table(rec: CoeffSeq, nmax: int) -> CoeffTable:
     """The full table on i + j <= nmax, stored row by row from digraph_rows."""
+    from recdig.tables import CoeffTable
+
     return CoeffTable(
         tuple(tuple(row) for row in digraph_rows(rec, nmax)), virtual=rec.virtual
     )
@@ -150,6 +158,8 @@ def count_sequence(rec: CoeffSeq, nmax: int, model: str) -> Iterator[int]:
     """
     if model not in ("cayley", "endofunctions"):
         raise ValueError(f"unknown model {model!r}")
+    from recdig.tables import merge_sorts
+
     return merge_sorts(
         digraph_rows(rec, nmax), nmax, identify=model == "endofunctions"
     )
@@ -285,6 +295,8 @@ def digraph_table_with_branches(
     """
     _need_truncation(rec, nmax, "digraph_table_with_branches")
     _need_truncation(branch, nmax, "digraph_table_with_branches")
+    from recdig.tables import CoeffTable
+
     rows = _rows(rec.counts, *_branch_tail(branch.counts, nmax), nmax)
     return CoeffTable(tuple(map(tuple, rows)), virtual=rec.virtual or branch.virtual)
 
@@ -298,6 +310,8 @@ def bounded_arity_tree_table(k: int, nmax: int) -> CoeffTable:
     """
     if k < 1:
         raise ValueError("arity bound must be at least 1")
+    from recdig.tables import solve_tree_equation
+
     branching = atom("E_r", nmax, 0)
     for r in range(1, k + 1):
         branching = branching + atom("E_r", nmax, r)

@@ -294,14 +294,68 @@ def test_negative_sizes_are_usage_errors(argv):
     assert run(argv) == (2, "")
 
 
-def test_seq_prints_counts_past_the_int_str_digit_limit():
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(4300)  # the interpreter's default
+@pytest.fixture
+def int_str_digits():
+    """Set the int -> str digit limit (Python 3.11+) to the value asked
+    for, and give the caller's back after the test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield lambda limit: None
+        return
+    saved = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(saved)
+
+
+def test_seq_prints_counts_past_the_int_str_digit_limit(int_str_digits):
+    int_str_digits(4300)  # the interpreter's default
     rc, out = run(["seq", "cay", "--nmax", "1500"])
     assert rc == 0
     n, count = out.splitlines()[-1].split(",")
     assert n == "1500"
     assert len(count) > 4300
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no limit before 3.11"
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["seq", "cay", "--nmax", "3"], ["table", "psi", "--nmax", "3"],
+     ["seq", "cay"], ["seq", "cay", "--nmax", "x"]],
+    ids=["seq", "psi", "usage", "bad-value"],
+)
+def test_main_leaves_the_int_str_digit_limit_as_it_found_it(int_str_digits, argv):
+    for limit in (4300, 5000, 0):
+        int_str_digits(limit)
+        run(argv)
+        assert sys.get_int_max_str_digits() == limit
+
+
+def _decimal_settings():
+    import decimal
+
+    c = decimal.getcontext()
+    return (c.prec, c.rounding, c.Emin, c.Emax, c.capitals, c.clamp,
+            dict(c.flags), dict(c.traps))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_psi_prints_the_int_rows(fmt):
+    # The CLI prints Decimal cells; they must read exactly as the int rows
+    # of the library kernel, up to 661 digits at nmax 300.
+    from recdig.digraphs import digraph_rows
+    from recdig.series import atom
+
+    before = _decimal_settings()
+    sizes = [(rec, nmax) for rec in ("S", "X", "E", "C", "Der")
+             for nmax in (0, 1, 2, 7, 60)]
+    for rec, nmax in sizes + [("Der", 300)]:
+        rows = digraph_rows(atom(rec, nmax), nmax)
+        cells = [(i, j, c) for i, row in enumerate(rows) for j, c in enumerate(row)]
+        argv = ["table", "psi", "--R", rec, "--nmax", str(nmax), "--format", fmt]
+        assert run(argv) == (0, _render_cells(["i", "j", "value"], cells, fmt))
+        assert _decimal_settings() == before
+    assert max(len(str(c)) for _, _, c in cells) == 661
 
 
 def test_internal_errors_exit_4_and_mismatches_exit_1(monkeypatch, capsys):

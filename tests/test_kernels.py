@@ -131,3 +131,34 @@ def test_merge_rejects_a_short_table():
     assert [next(merged), next(merged)] == [1, 6]
     with pytest.raises(ShapeError):
         next(merged)
+
+
+def test_row_kernel_is_generic_in_its_number_type():
+    # table psi seeds _rows with Decimal counts and prints the cells, so
+    # every branch of the kernel must give the int values with exact
+    # integer Decimals: a = 1 with nu = (1,) (L, digraph_rows' tail), a = 1
+    # with nu[0] = 0 and e > 0 (L+), a = 0 with e = nmax (E, Bal), and a
+    # nonzero a != 1 (2^m m!, whose tail is (2, (1,))).
+    from decimal import (
+        MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded,
+        localcontext,
+    )
+    from math import factorial
+
+    from recdig.digraphs import _branch_tail, _rows
+
+    n = 40
+    tails = [_branch_tail(atom(name, n).counts, n) for name in ("L", "L+", "E", "Bal")]
+    tails.append(_branch_tail([2**m * factorial(m) for m in range(n + 1)], n))
+    assert [(a, len(nu) - 1) for a, nu in tails] == [
+        (1, 0), (1, 1), (0, n), (0, n), (2, 0)
+    ]
+    exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                    traps=[Inexact, Rounded])
+    for rec in ("S", "Der", "X"):
+        seeds = atom(rec, n).counts
+        for a, nu in tails:
+            expected = [[str(c) for c in row] for row in _rows(seeds, a, nu, n)]
+            with localcontext(exact):
+                rows = _rows([Decimal(c) for c in seeds], a, nu, n)
+                assert [[str(c) for c in row] for row in rows] == expected, (rec, a, nu)

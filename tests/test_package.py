@@ -94,6 +94,8 @@ def test_each_command_loads_only_what_it_runs(child_env):
         ("table", "sdiff", "--nmax", "4"): {
             "recdig.series", "recdig.tables", "recdig.digraphs", "recdig.oracle",
             "recdig.stats", "recdig.bijections"},
+        ("table", "psi", "--nmax", "4"): {
+            "recdig.tables", "recdig.oracle", "recdig.stats", "recdig.bijections"},
         ("report", "asymptotics", "--nmax", "4"): {
             "recdig.oracle", "recdig.bijections"},
     }
