@@ -400,7 +400,9 @@ def _run(argv: list[str] | None, out) -> int:
         from recdig.oracle import BudgetExceededError  # only on this path
 
         if isinstance(exc, BudgetExceededError):
-            print(f"error: {exc}", file=sys.stderr)
+            # The library names its keyword; here the switch is the flag.
+            hint = str(exc).replace("override_budget=True", "--override-budget")
+            print(f"error: {hint}", file=sys.stderr)
             return EXIT_BUDGET
         import traceback  # only on this path, to keep start-up imports lean
 

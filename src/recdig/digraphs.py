@@ -23,9 +23,10 @@ form is the independent check on it (check identities and the tests).
 The row kernel (_rows) only adds and multiplies, so it is generic in its
 number type: seeded with decimal.Decimal counts under an exact context
 it yields exact integer Decimals, which table psi prints in linear time.
-recdig.tables (the sort merges, CoeffTable, the tree solver) is imported
-inside the functions that use it, so digraph_rows alone loads no table
-machinery.
+recdig.tables (the sort merges, CoeffTable, the tree solver) and
+recdig.stirling (the closed form's sdiff) are imported inside the functions
+that use them, so digraph_rows alone loads no table machinery and the
+serving route loads no Stirling numbers.
 
 Every division in the closed formulas is exact; each one is asserted.
 """
@@ -39,7 +40,16 @@ from operator import add, mul
 from typing import Iterator, Sequence
 
 from recdig.series import CoeffSeq, ShapeError, atom, pascal_rows
-from recdig.stirling import sdiff
+
+
+def __getattr__(name: str):
+    # digraphs.sdiff stays readable (the benchmark's tracer self-test reads
+    # it), but recdig.stirling is loaded on first use, not with this module.
+    if name == "sdiff":
+        from recdig.stirling import sdiff
+
+        return sdiff
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class InexactDivisionError(ArithmeticError):
@@ -68,6 +78,8 @@ def digraph_count_by_recurrent(i: int, j: int, r: int, rec: CoeffSeq) -> int:
     Closed formula i! * |R[r]| / r! * sdiff(i+j, i, r); the division by r!
     is performed last and checked exact.  A negative index is a ShapeError.
     """
+    from recdig.stirling import sdiff
+
     if i < 0 or j < 0:
         raise ShapeError(f"digraph_count_by_recurrent: size ({i}, {j}) is negative")
     _need_truncation(rec, r, "digraph_count_by_recurrent")
@@ -172,6 +184,8 @@ def _closed_form_total(n: int, rec: CoeffSeq, weights: list[int]) -> int:
     in order (perm(n, i), endofunctions), or 1..i (i!, Cayley
     permutations).
     """
+    from recdig.stirling import sdiff
+
     total = 0
     for r in range(n + 1):
         inner = sum(w * sdiff(n, i, r) for i, w in enumerate(weights))

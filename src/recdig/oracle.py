@@ -11,13 +11,14 @@ deterministic, so streamed output is reproducible:
 Default size budgets keep runs at desk scale: n <= 8 for endofunctions
 (8^8 is about 1.7e7) and n <= 9 for Cayley permutations (7,087,261 maps).
 
-Every map is visited, and `ClassPredicate.matches` alone decides each
-class, from the map and reading only what the class needs: one scan for a
-fixed point, the image size, or the cycles.  One stamped walk per start
-node finds the cycles, which gives the recurrent set and the cycle lengths
-in one linear pass; tree, forest and connected stop it as soon as their
-answer is known.  `classify` describes the structure of a map (image,
-recurrent points, cycle lengths) and decides no class; no count needs it.
+Every map is visited.  Each class is declared once, in `CLASSES`, by a
+rule that reads only what it needs: one scan for a fixed point, the image
+size, or the cycles; `count` and `count_table` look the rule up once per
+call.  One stamped walk per start node finds the cycles, which gives the
+recurrent set and the cycle lengths in one linear pass; tree and forest
+stop it as soon as their answer is known.  `classify` describes the
+structure of a map (image, recurrent points, cycle lengths) and decides no
+class; no count needs it.
 `enumerate_cayley` walks an explicit stack of prefixes and emits the
 completions of each prefix as one block: a product, the permutations of
 the missing values, or a memoized list of short tails.
@@ -28,13 +29,14 @@ test runs at 0.23M-0.30M maps/s (indegree_bounded:2, the slowest) to
 at n = 8.  Each range is two runs, and the machine's speed drifts by tens
 of per cent; interleaved over the same maps (Cayley maps of [7],
 endofunctions of [6]), the early stop takes tree and forest 0.83-0.96 of
-the time of a full walk, and connected 0.96-1.05.
+the time of a full walk; stopping connected took 0.96-1.05, so it reads
+every cycle.
 """
 
 from __future__ import annotations
 
 from itertools import chain, permutations, product
-from operator import eq
+from operator import ne
 from sys import maxsize
 from typing import Iterable, Iterator, NamedTuple
 
@@ -80,7 +82,7 @@ def enumerate_endofunctions(
 ) -> Iterator[Endofunction]:
     """All n^n maps of [n], lexicographically."""
     check_budget(n, "endofunctions", override_budget)
-    return iter(product(range(1, n + 1), repeat=n))
+    return product(range(1, n + 1), repeat=n)
 
 
 def _surjection_blocks(n: int, k: int) -> Iterator[Iterator[Endofunction]]:
@@ -175,10 +177,9 @@ class DigraphProfile(NamedTuple):
         return len(self.cycle_lengths)
 
 
-def _cycles(
-    f: Endofunction, stop: tuple[int, int] | None = None
-) -> tuple[list[int], list[int]]:
-    """The recurrent points of f and its cycle lengths, in one linear pass.
+def _cycles(f: Endofunction, stop=()):
+    """The recurrent points of f and its cycle lengths, as two lists, in one
+    linear pass.
 
     A walk starts at each node not yet stamped and stamps every node it
     meets with its start until it reaches a stamped node.  If that node
@@ -187,12 +188,12 @@ def _cycles(
 
     Given stop = (most, longest), the pass ends after the first cycle that
     makes more than most cycles or is longer than longest: the class tests
-    that read only those facts stop there.  Without it every cycle is read.
+    that read only those facts stop there.  An empty stop reads every cycle.
     """
     succ = (0, *f)
     stamp = [0] * len(succ)
-    points: list[int] = []
-    lengths: list[int] = []
+    points = []
+    lengths = []
     for start in range(1, len(succ)):
         if stamp[start]:
             continue
@@ -247,27 +248,39 @@ def compose_power(f: Endofunction, k: int) -> Endofunction:
     return g
 
 
-CLASS_NAMES = (
-    "all",
-    "cayley",
-    "tree",
-    "forest",
-    "connected",
-    "derangement",
-    "idempotent",
-    "indegree_bounded",
-)
-# The least parameter k of each class that takes one; the others take none.
-CLASS_PARAM_MIN = {"idempotent": 2, "indegree_bounded": 1}
-# The classes whose rule in ClassPredicate.matches reads the cycles of f,
-# each with the (most, longest) stop rule of its own walk: tree, forest and
-# connected know their answer at the second cycle or at the first cycle
-# longer than 1; indegree_bounded reads every cycle.
-_CYCLE_CLASSES = {
-    "tree": (1, 1),
-    "forest": (maxsize, 1),
-    "connected": (1, maxsize),
-    "indegree_bounded": None,
+def _indegree_bounded(f, k, walk):
+    # Every node has at most k children; a recurrent point's in-edge from
+    # its cycle is not a child edge.
+    indeg = [0] * (len(f) + 1)
+    for v in f:
+        indeg[v] += 1
+    for u in walk[0]:
+        indeg[u] -= 1
+    return max(indeg) <= k
+
+
+# Every digraph class, declared once, as name: (least, stop, rule).
+# * least: the smallest k of a class that takes one (idempotent:k,
+#   indegree_bounded:k); None for a class that takes no parameter.
+# * stop: the stop rule (most, longest) of the `_cycles` walk the class
+#   reads.  Tree and forest know their answer at the second cycle or at the
+#   first cycle longer than 1; () reads every cycle; None marks a class
+#   that reads no cycles.
+# * rule(f, k, walk): the one rule of membership.  walk is the (points,
+#   lengths) of that walk, or a false value for a class that reads none.
+CLASSES = {
+    "all": (None, None, lambda *_: True),
+    # The image is exactly [k] for some k.
+    "cayley": (None, None, lambda f, k, walk: max(f, default=0) == len(set(f))),
+    "tree": (None, (1, 1), lambda f, k, walk: walk[1] == [1]),
+    # As many recurrent points as cycles: every cycle is a fixed point.
+    "forest": (None, (maxsize, 1), lambda f, k, walk: len(walk[0]) == len(walk[1])),
+    "connected": (None, (), lambda f, k, walk: len(walk[1]) == 1),
+    "derangement": (
+        None, None, lambda f, k, walk: all(map(ne, f, range(1, len(f) + 1)))
+    ),
+    "idempotent": (2, None, lambda f, k, walk: compose_power(f, k) == f),
+    "indegree_bounded": (1, (), _indegree_bounded),
 }
 
 
@@ -277,9 +290,9 @@ class ClassPredicate(Record):
     __slots__ = ("name", "param")
 
     def __init__(self, name: str, param: int | None = None):
-        if name not in CLASS_NAMES:
+        if name not in CLASSES:
             raise ValueError(f"unknown class {name!r}")
-        least = CLASS_PARAM_MIN.get(name)
+        least = CLASSES[name][0]
         if least is None:
             if param is not None:
                 raise ValueError(f"class {name} takes no parameter")
@@ -288,50 +301,17 @@ class ClassPredicate(Record):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "param", param)
 
-    def matches(
-        self,
-        f: Endofunction,
-        profile: DigraphProfile | None = None,
-        *,
-        cycles: tuple[list[int], list[int]] | None = None,
-    ) -> bool:
-        """Whether f is in the class, decided from f alone.
+    def matches(self, f: Endofunction, profile=None, *, cycles=None) -> bool:
+        """Whether f is in the class, decided from f alone by the class's
+        rule in CLASSES.
 
-        This is the only rule of membership.  Each class reads only what it
-        needs: one scan for a fixed point, the image size, the k-fold
-        composite, or the cycles of one `_cycles` walk.  A caller that has
-        already walked f passes that walk as cycles, which is read only by
-        the classes in _CYCLE_CLASSES.  Given no walk, tree, forest and
-        connected stop theirs as soon as the answer is known: at the second
-        cycle, or at the first cycle longer than 1.  profile is accepted for
-        callers that pass classify(f) and never read.
+        A caller that has already walked f passes that walk as cycles; only
+        a class that reads cycles reads it, and given none such a class
+        walks f under its own stop rule.  profile is accepted for callers
+        that pass classify(f) and never read.
         """
-        name = self.name
-        if name == "all":
-            return True
-        if name == "derangement":
-            return not any(map(eq, f, range(1, len(f) + 1)))
-        if name == "cayley":  # the image is exactly [k] for some k
-            return max(f, default=0) == len(set(f))
-        if name == "idempotent":
-            return compose_power(f, self.param) == f
-        points, lengths = cycles or _cycles(f, _CYCLE_CLASSES[name])
-        if name == "tree":
-            return lengths == [1]
-        if name == "forest":
-            return lengths.count(1) == len(lengths)
-        if name == "connected":
-            return len(lengths) == 1
-        # indegree_bounded:k allows a recurrent point one more in-edge, the
-        # one from its cycle, than the k children any node may have.
-        indeg = [0] * (len(f) + 1)
-        for v in f:
-            indeg[v] += 1
-        for u in points:
-            if indeg[u] > self.param + 1:
-                return False
-            indeg[u] = 0  # what is left are the nonrecurrent indegrees
-        return max(indeg) <= self.param
+        _, stop, rule = CLASSES[self.name]
+        return rule(f, self.param, cycles or stop is not None and _cycles(f, stop))
 
 
 def parse_class(text: str) -> ClassPredicate:
@@ -348,13 +328,15 @@ def count(
 ) -> int:
     """Exact count of maps in the class, by exhaustive enumeration.
 
-    The class is decided per map from f by ClassPredicate.matches, which
-    reads only what the class needs; no map is classified.
+    The class's rule in CLASSES, looked up once, decides each map from f
+    and reads only what the class needs; no map is classified.
     """
     maps = enumerate_maps(n, model, override_budget)
     if predicate.name == "all":
         return sum(1 for _ in maps)
-    return sum(map(predicate.matches, maps))
+    _, stop, rule = CLASSES[predicate.name]
+    k = predicate.param
+    return sum(rule(f, k, stop is not None and _cycles(f, stop)) for f in maps)
 
 
 def count_table(
@@ -368,23 +350,23 @@ def count_table(
 
     Only nonzero buckets appear in the result.  Over the cayley model with
     keys (i, j) this is the independent check of every digraph table.  As in
-    `count`, the class is decided per map from f; a map in it is keyed by its
-    image size and, for "ijr", by its number of recurrent points, never by
-    a classify profile.  By "ijr" each map is walked at most once: a class
-    in _CYCLE_CLASSES is handed the walk that also gives the recurrent count,
-    and any other class has its members walked after the test.
+    `count`, the class's rule decides each map from f; a map in it is keyed
+    by its image size and, for "ijr", by its number of recurrent points,
+    never by a classify profile.  By "ijr" each map is walked at most once:
+    a class that reads cycles walks every cycle, which also gives the
+    recurrent count, and any other class has its members walked after the
+    test.
     """
-    if by not in ("ij", "ijr"):
+    ijr = by == "ijr"
+    if not ijr and by != "ij":
         raise ValueError("by must be 'ij' or 'ijr'")
-    table: dict[tuple[int, ...], int] = {}
-    shared = by == "ijr" and predicate.name in _CYCLE_CLASSES
+    _, stop, rule = CLASSES[predicate.name]
+    k = predicate.param
+    table = {}
     for f in enumerate_maps(n, model, override_budget):
-        walk = _cycles(f) if shared else None
-        if predicate.matches(f, cycles=walk):
+        walk = stop is not None and (_cycles(f) if ijr else _cycles(f, stop))
+        if rule(f, k, walk):
             i = len(set(f))
-            if by == "ij":
-                key = (i, n - i)
-            else:
-                key = (i, n - i, len((walk or _cycles(f))[0]))
+            key = (i, n - i, len((walk or _cycles(f))[0])) if ijr else (i, n - i)
             table[key] = table.get(key, 0) + 1
     return table

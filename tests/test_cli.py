@@ -3,12 +3,14 @@ import json
 import subprocess
 import sys
 import time
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 from recdig import oracle
 from recdig.cli import main
+from recdig.digraphs import CLASS_RECURRENT_ATOMS
 
 
 def run(argv):
@@ -230,8 +232,12 @@ def test_verify_ok():
     )
     assert rc == 0
     assert all(line.endswith("ok") for line in out.strip().splitlines()[1:])
-    rc, _ = run(["verify", "--nmax", "4", "--model", "endofunctions"])
-    assert rc == 0
+    # Every class that seq and verify serve, in both models.
+    for model, klass in product(oracle.MODELS, CLASS_RECURRENT_ATOMS):
+        rc, out = run(["verify", "--nmax", "4", "--model", model, "--class", klass])
+        assert rc == 0, (model, klass)
+        rows = out.splitlines()[1:]
+        assert [row.rsplit(",", 1)[1] for row in rows] == ["ok"] * 5, (model, klass)
 
 
 def test_verify_streams_its_rows(monkeypatch, capsys):
@@ -264,9 +270,14 @@ def test_verify_streams_its_rows(monkeypatch, capsys):
     assert capsys.readouterr().err == "verification failed at n = [3]\n"
 
 
-def test_budget_exit_code(monkeypatch):
+def test_budget_exit_code(monkeypatch, capsys):
     rc, _ = run(["count", "--n", "9", "--model", "endofunctions"])
     assert rc == 3
+    # The hint names the CLI's flag, not the library's keyword.
+    assert capsys.readouterr().err == (
+        "error: n=9 exceeds the endofunctions budget of 8; "
+        "pass --override-budget to force\n"
+    )
     # verify checks the budget for its largest n before enumerating any map.
     calls = []
     monkeypatch.setattr(oracle, "count", lambda *args, **kw: calls.append(args))

@@ -7,7 +7,12 @@ import pytest
 
 from bruteforce import cayley_by_rejection
 from recdig import oracle
-from recdig.digraphs import cayley_count, digraph_count, endofunction_count
+from recdig.digraphs import (
+    CLASS_RECURRENT_ATOMS,
+    cayley_count,
+    digraph_count,
+    endofunction_count,
+)
 from recdig.series import atom
 
 FUBINI = (1, 1, 3, 13, 75, 541, 4683, 47293, 545835, 7087261)
@@ -249,6 +254,14 @@ def test_compose_power_matches_plain_loop():
             g = tuple(f[v - 1] for v in g)
 
 
+def test_served_classes_are_parameterless_oracle_classes():
+    # seq and verify serve the classes of digraphs.CLASS_RECURRENT_ATOMS;
+    # the oracle's one table must decide each of them with no parameter.
+    for name in CLASS_RECURRENT_ATOMS:
+        assert name in oracle.CLASSES, name
+        assert oracle.CLASSES[name][0] is None, name
+
+
 def test_class_predicate_validation():
     with pytest.raises(ValueError):
         oracle.ClassPredicate("bogus")
@@ -329,7 +342,7 @@ def test_matches_and_counts_read_no_profile(monkeypatch):
     )]
     # The classes that read a walk passed in; the others ignore it.
     walkers = [(slot, pred) for slot, pred in enumerate(_EVERY_CLASS)
-               if pred.name in oracle._CYCLE_CLASSES]
+               if oracle.CLASSES[pred.name][1] is not None]
     want = {}
     for model, sizes in (("endofunctions", range(7)), ("cayley", (7,))):
         for n in sizes:
@@ -473,9 +486,10 @@ def test_enumerate_cayley_checks_budget_at_call_time_and_is_lazy():
 
 
 def test_count_unconstrained_all_does_not_call_matches(monkeypatch):
-    def refuse(self, f, profile=None):
-        raise AssertionError("matches called")
+    def refuse(*args, **kwargs):
+        raise AssertionError("a membership rule was called")
 
     monkeypatch.setattr(oracle.ClassPredicate, "matches", refuse)
+    monkeypatch.setitem(oracle.CLASSES, "all", (None, None, refuse))
     assert oracle.count(6, "cayley", oracle.ClassPredicate("all")) == FUBINI[6]
     assert oracle.count(4, "endofunctions", oracle.ClassPredicate("all")) == 4**4

@@ -87,7 +87,9 @@ def test_each_command_loads_only_what_it_runs(child_env):
     )
     cases = {
         ("seq", "end", "--class", "forest", "--nmax", "5"): {
-            "recdig.oracle", "recdig.stats", "recdig.bijections"},
+            "recdig.oracle", "recdig.stats", "recdig.bijections", "recdig.stirling"},
+        ("verify", "--nmax", "4", "--class", "connected"): {
+            "recdig.stats", "recdig.bijections", "recdig.stirling"},
         ("count", "--n", "4", "--model", "cayley"): {
             "recdig.series", "recdig.tables", "recdig.stirling", "recdig.digraphs",
             "recdig.stats", "recdig.bijections"},
@@ -95,7 +97,8 @@ def test_each_command_loads_only_what_it_runs(child_env):
             "recdig.series", "recdig.tables", "recdig.digraphs", "recdig.oracle",
             "recdig.stats", "recdig.bijections"},
         ("table", "psi", "--nmax", "4"): {
-            "recdig.tables", "recdig.oracle", "recdig.stats", "recdig.bijections"},
+            "recdig.tables", "recdig.oracle", "recdig.stats", "recdig.bijections",
+            "recdig.stirling"},
         ("report", "asymptotics", "--nmax", "4"): {
             "recdig.oracle", "recdig.bijections"},
     }
