@@ -4,12 +4,12 @@ Every data cell is printed as a decimal string, CSV is header-first and
 newline-terminated, JSON output is one object per line; identical argv
 always produces byte-identical output.  Exit codes: 0 success, 1
 verification or identity mismatch, 2 usage error (including a negative
-size), 3 enumeration budget exceeded, 4 internal error (any other
-exception, such as a RecursionError or a failed exactness or residual
-check: a bug, reported as one ``internal error:`` line and the traceback
-on stderr), 141 stdout closed before the output was written, as by
-``recdig seq ... | head`` (the code a shell reports for a process killed by
-SIGPIPE; nothing is printed).
+size and a flag that the chosen form would ignore), 3 enumeration budget
+exceeded, 4 internal error (any other exception, such as a RecursionError
+or a failed exactness or residual check: a bug, reported as one
+``internal error:`` line and the traceback on stderr), 141 stdout closed
+before the output was written, as by ``recdig seq ... | head`` (the code
+a shell reports for a process killed by SIGPIPE; nothing is printed).
 
 Routes: seq, the formula column of verify, and report asymptotics are
 served by the two-sort table recursion (digraphs.count_sequence), which
@@ -124,24 +124,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_seq = sub.add_parser("seq", help="emit a counting sequence")
     p_seq.add_argument("family", choices=("cay", "end", "cayder"))
-    p_seq.add_argument("--class", dest="klass", default="all").choices = SEQ_CLASSES
+    # seq's --class and table's --r and --R default to None, so a flag
+    # that the chosen form would ignore is seen and rejected (exit 2).
+    p_seq.add_argument("--class", dest="klass").choices = SEQ_CLASSES
     p_seq.add_argument("--nmax", type=nonnegative_int, required=True)
-    p_seq.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_table = sub.add_parser("table", help="emit a coefficient table")
     p_table.add_argument("kind", choices=("sdiff", "psi"))
     p_table.add_argument(
-        "--r", type=nonnegative_int, default=1, help="prefix size (sdiff)"
+        "--r", type=nonnegative_int, help="prefix size (sdiff)"
     )
     p_table.add_argument(
         "--R",
         dest="rec",
         choices=("S", "X", "E", "C", "Der"),
-        default="S",
         help="recurrent structure (psi)",
     )
     p_table.add_argument("--nmax", type=nonnegative_int, required=True)
-    p_table.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_count = sub.add_parser("count", help="brute-force counts")
     p_count.add_argument("--n", type=nonnegative_int, required=True)
@@ -149,14 +148,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--class", dest="klass", default="all")
     p_count.add_argument("--by", choices=("ij", "ijr"), default="ij")
     p_count.add_argument("--override-budget", action="store_true")
-    p_count.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_verify = sub.add_parser("verify", help="formulas against the oracle")
     p_verify.add_argument("--nmax", type=nonnegative_int, required=True)
     p_verify.add_argument("--model", default="cayley").choices = MODELS
     p_verify.add_argument("--class", dest="klass", default="all").choices = SEQ_CLASSES
     p_verify.add_argument("--override-budget", action="store_true")
-    p_verify.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_joyal = sub.add_parser(
         "joyal", help="spine bijection demo for one endofunction"
@@ -172,20 +169,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="exact identity suite")
     p_check.add_argument("what", choices=("identities",))
     p_check.add_argument("--nmax", type=nonnegative_int, required=True)
-    p_check.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_report = sub.add_parser("report", help="descriptive ratio reports")
     p_report.add_argument("what", choices=("asymptotics",))
     p_report.add_argument("--nmax", type=nonnegative_int, required=True)
-    p_report.add_argument("--format", choices=("csv", "json"), default="csv")
 
+    # Every command but joyal prints rows; --format is the last option of each.
+    for p in (p_seq, p_table, p_count, p_verify, p_check, p_report):
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 
 def _cmd_seq(args, out) -> int:
     from recdig import digraphs
 
-    klass = "derangement" if args.family == "cayder" else args.klass
+    klass = args.klass or "all"
+    if args.family == "cayder":
+        if args.klass not in (None, "derangement"):
+            raise ValueError(f"--class {klass} does not apply to seq cayder")
+        klass = "derangement"
     model = "endofunctions" if args.family == "end" else "cayley"
     rec = digraphs.recurrent_structure_for_class(klass, args.nmax)
     counts = digraphs.count_sequence(rec, args.nmax, model)
@@ -196,11 +198,14 @@ def _cmd_seq(args, out) -> int:
 def _cmd_table(args, out) -> int:
     from itertools import count, islice, repeat
 
+    flag, value = ("--R", args.rec) if args.kind == "sdiff" else ("--r", args.r)
+    if value is not None:  # the other form's flag
+        raise ValueError(f"{flag} {value} does not apply to table {args.kind}")
     if args.kind == "sdiff":
         from recdig.stirling import sdiff_rows
 
         # Rows and columns from 1: the n = 0 row and the m = 0 cells are left out.
-        rows = enumerate(sdiff_rows(args.r, args.nmax))
+        rows = enumerate(sdiff_rows(1 if args.r is None else args.r, args.nmax))
         next(rows)
         blocks = (zip(repeat(n), count(1), islice(row, 1, None)) for n, row in rows)
         _emit(["n", "m", "value"], blocks, args.format, out)
@@ -215,7 +220,7 @@ def _cmd_table(args, out) -> int:
 
         # Decimal seeds give Decimal cells (see the module docstring); the
         # context keeps every digit, and a rounding would raise.
-        seeds = CoeffSeq(tuple(map(Decimal, atom(args.rec, args.nmax).counts)))
+        seeds = CoeffSeq(tuple(map(Decimal, atom(args.rec or "S", args.nmax).counts)))
         exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
                         traps=[Inexact, Rounded])
         with localcontext(exact):

@@ -10,7 +10,8 @@ fixed-point-free permutations, ...).
 Three independent routes to the same numbers live here:
 
 * a closed formula over Stirling difference numbers (digraph_count,
-  cayley_count, endofunction_count),
+  cayley_count, endofunction_count), all read by one function,
+  _closed_form_total, with a weight per internal-node count,
 * the two-sort coefficient recursion, one row kernel (digraph_rows,
   digraph_table, digraph_table_with_branches, count_sequence),
 * composition of R with the rooted-tree table (via recdig.tables).
@@ -24,9 +25,9 @@ The row kernel (_rows) only adds and multiplies, so it is generic in its
 number type: seeded with decimal.Decimal counts under an exact context
 it yields exact integer Decimals, which table psi prints in linear time.
 recdig.tables (the sort merges, CoeffTable, the tree solver) and
-recdig.stirling (the closed form's sdiff) are imported inside the functions
-that use them, so digraph_rows alone loads no table machinery and the
-serving route loads no Stirling numbers.
+recdig.stirling (sdiff, read by _closed_form_total alone) are imported
+inside the functions that use them, so digraph_rows alone loads no table
+machinery and the serving route loads no Stirling numbers.
 
 Every division in the closed formulas is exact; each one is asserted.
 """
@@ -75,23 +76,24 @@ def _need_truncation(r: CoeffSeq, n: int, what: str) -> None:
 def digraph_count_by_recurrent(i: int, j: int, r: int, rec: CoeffSeq) -> int:
     """Digraphs on [i, j] whose recurrent part is an R-structure of size r.
 
-    Closed formula i! * |R[r]| / r! * sdiff(i+j, i, r); the division by r!
-    is performed last and checked exact.  A negative index is a ShapeError.
+    Closed formula i! * |R[r]| / r! * sdiff(i+j, i, r): digraph_count of R
+    restricted to size r.  A negative index is a ShapeError.
     """
-    from recdig.stirling import sdiff
-
-    if i < 0 or j < 0:
-        raise ShapeError(f"digraph_count_by_recurrent: size ({i}, {j}) is negative")
     _need_truncation(rec, r, "digraph_count_by_recurrent")
-    return exact_div(
-        factorial(i) * rec.counts[r] * sdiff(i + j, i, r), factorial(r)
-    )
+    return _cell(i, j, rec.restrict(r), "digraph_count_by_recurrent")
 
 
 def digraph_count(i: int, j: int, rec: CoeffSeq) -> int:
     """Total R-recurrent digraphs on [i, j], summed over the recurrent size."""
     _need_truncation(rec, i, "digraph_count")
-    return sum(digraph_count_by_recurrent(i, j, r, rec) for r in range(i + 1))
+    return _cell(i, j, rec, "digraph_count")
+
+
+def _cell(i: int, j: int, rec: CoeffSeq, what: str) -> int:
+    """The closed form with the single weight i! at index i."""
+    if i < 0 or j < 0:
+        raise ShapeError(f"{what}: size ({i}, {j}) is negative")
+    return _closed_form_total(i + j, rec, [0] * i + [factorial(i)])
 
 
 def digraph_rows(rec: CoeffSeq, nmax: int) -> Iterator[list[int]]:
@@ -181,15 +183,20 @@ def _closed_form_total(n: int, rec: CoeffSeq, weights: list[int]) -> int:
     """sum_r |R[r]| / r! * sum_i weights[i] * sdiff(n, i, r).
 
     The weight picks which labels play the i internal nodes: any i of them
-    in order (perm(n, i), endofunctions), or 1..i (i!, Cayley
-    permutations).
+    in order (perm(n, i), endofunctions), 1..i (i!, Cayley permutations),
+    or [i] on [i, j] (the single weight i! at i, n = i + j).  Since
+    sdiff(n, i, r) = 0 for r > i, r runs up to the last weight; every r
+    with R[r] = 0 and every zero weight is skipped, and each r costs one
+    exact division.  The only reader of sdiff outside recdig.stirling.
     """
     from recdig.stirling import sdiff
 
+    terms = [(i, w) for i, w in enumerate(weights) if w]
     total = 0
-    for r in range(n + 1):
-        inner = sum(w * sdiff(n, i, r) for i, w in enumerate(weights))
-        total += exact_div(rec.counts[r] * inner, factorial(r))
+    for r, c in enumerate(rec.counts[: len(weights)]):
+        if c:
+            inner = sum(w * sdiff(n, i, r) for i, w in terms)
+            total += exact_div(c * inner, factorial(r))
     return total
 
 

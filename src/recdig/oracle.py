@@ -301,17 +301,14 @@ class ClassPredicate(Record):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "param", param)
 
-    def matches(self, f: Endofunction, profile=None, *, cycles=None) -> bool:
+    def matches(self, f: Endofunction, profile=None) -> bool:
         """Whether f is in the class, decided from f alone by the class's
-        rule in CLASSES.
-
-        A caller that has already walked f passes that walk as cycles; only
-        a class that reads cycles reads it, and given none such a class
-        walks f under its own stop rule.  profile is accepted for callers
-        that pass classify(f) and never read.
+        rule in CLASSES; a class that reads cycles walks f under its own
+        stop rule.  profile is accepted for callers that pass classify(f)
+        and never read.
         """
         _, stop, rule = CLASSES[self.name]
-        return rule(f, self.param, cycles or stop is not None and _cycles(f, stop))
+        return rule(f, self.param, stop is not None and _cycles(f, stop))
 
 
 def parse_class(text: str) -> ClassPredicate:

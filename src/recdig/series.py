@@ -15,6 +15,7 @@ differences) are first class but must be tagged ``virtual``.
 from __future__ import annotations
 
 from itertools import accumulate, islice
+from math import factorial
 from operator import add, mul
 from typing import Iterator
 
@@ -236,21 +237,25 @@ def _factorials(nmax: int) -> list[int]:
     return f
 
 
-PARAMETRIC_ATOMS = ("E_r", "S_r", "C_i")
+# Every atom, declared once: name -> counts for sizes 0..nmax.
+_SEQUENCES = {
+    "1": lambda n: [1] + [0] * n,
+    "X": lambda n: [int(k == 1) for k in range(n + 1)],
+    "E": lambda n: [1] * (n + 1),
+    "L": _factorials,
+    "L+": lambda n: [0, *_factorials(n)[1:]],
+    "S": _factorials,
+    "S+": lambda n: [0, *_factorials(n)[1:]],
+    "C": lambda n: [0, *_factorials(n)[:n]],
+    "Der": _derangement_counts,
+    "Bal": _fubini_counts,
+    "Par": _bell_counts,
+}
+# The one-size atoms: param -> their count at size param, none elsewhere.
+_ONE_SIZE = {"E_r": lambda r: 1, "S_r": factorial, "C_i": lambda i: factorial(i - 1)}
 
-ATOM_NAMES = (
-    "1",
-    "X",
-    "E",
-    "L",
-    "L+",
-    "S",
-    "S+",
-    "C",
-    "Der",
-    "Bal",
-    "Par",
-) + PARAMETRIC_ATOMS
+PARAMETRIC_ATOMS = tuple(_ONE_SIZE)
+ATOM_NAMES = (*_SEQUENCES, *PARAMETRIC_ATOMS)
 
 
 def atom(name: str, nmax: int, param: int | None = None) -> CoeffSeq:
@@ -271,48 +276,18 @@ def atom(name: str, nmax: int, param: int | None = None) -> CoeffSeq:
     """
     if nmax < 0:
         raise ValueError("truncation must be nonnegative")
-    if name in PARAMETRIC_ATOMS:
+    if name in _ONE_SIZE:
         if param is None or param < 0:
             raise UnsupportedAtomError(f"atom {name} needs a nonnegative parameter")
+        if name == "C_i" and param == 0:
+            raise UnsupportedAtomError("C_i needs a positive parameter")
+        counts = [0] * (nmax + 1)
+        if param <= nmax:
+            counts[param] = _ONE_SIZE[name](param)
     elif param is not None:
         raise UnsupportedAtomError(f"atom {name} takes no parameter")
-
-    size = nmax + 1
-    if name == "1":
-        counts = [1] + [0] * nmax
-    elif name == "X":
-        counts = [0] * size
-        if nmax >= 1:
-            counts[1] = 1
-    elif name == "E":
-        counts = [1] * size
-    elif name in ("L", "S"):
-        counts = _factorials(nmax)
-    elif name in ("L+", "S+"):
-        counts = _factorials(nmax)
-        counts[0] = 0
-    elif name == "C":
-        counts = [0] + _factorials(nmax - 1) if nmax >= 1 else [0]
-    elif name == "Der":
-        counts = _derangement_counts(nmax)
-    elif name == "Bal":
-        counts = _fubini_counts(nmax)
-    elif name == "Par":
-        counts = _bell_counts(nmax)
-    elif name == "E_r":
-        counts = [0] * size
-        if param <= nmax:
-            counts[param] = 1
-    elif name == "S_r":
-        counts = [0] * size
-        if param <= nmax:
-            counts[param] = _factorials(param)[param]
-    elif name == "C_i":
-        if param == 0:
-            raise UnsupportedAtomError("C_i needs a positive parameter")
-        counts = [0] * size
-        if param <= nmax:
-            counts[param] = _factorials(param - 1)[param - 1]
+    elif name in _SEQUENCES:
+        counts = _SEQUENCES[name](nmax)
     else:
         raise UnsupportedAtomError(f"unknown atom {name!r}")
 

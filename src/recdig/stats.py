@@ -9,9 +9,11 @@ only ever appear multiplied by factorials, and the asymptotics report is
 the single place where decimal renderings (never floats in identities)
 are produced.
 
-The total_* helpers and the identity suite use the closed form over
-Stirling differences; the asymptotics report is served by the table
-recursion (digraphs.count_sequence), so the two routes stay independent.
+The total_* helpers and the identity suite are counts of modified
+classes under the closed forms of recdig.digraphs (digraph_count,
+cayley_count, endofunction_count), so this module reads no Stirling
+number itself; the asymptotics report is served by the table recursion
+(digraphs.count_sequence), so the two routes stay independent.
 The report is one table of (statistic, numerators, denominators) and one
 row helper.  The identity suite builds its ballot products (two per r)
 and its two segment expansions (sums of ordinal products) as whole
@@ -28,11 +30,9 @@ from operator import add, mul
 
 from recdig._record import Record
 from recdig.digraphs import (
-    _need_truncation,
     cayley_count,
     count_sequence,
     digraph_count,
-    digraph_count_by_recurrent,
     endofunction_count,
 )
 from recdig.series import (
@@ -42,7 +42,6 @@ from recdig.series import (
     atom,
     same_truncation,
 )
-from recdig.stirling import sdiff
 
 EULER_GAMMA = 0.5772156649
 INV_E = "0.3678794412"
@@ -70,13 +69,10 @@ def ordinal_product(a: CoeffSeq, b: CoeffSeq) -> CoeffSeq:
 def total_recurrent_points(i: int, j: int, rec: CoeffSeq) -> int:
     """Sum of the number of recurrent points over all structures on [i, j].
 
-    Checks its indices as digraph_count does: a negative i or j, or an i
-    past the truncation of rec, raises ShapeError.
+    It is digraph_count of the pointed class, so a negative i or j, or an
+    i past the truncation of rec, raises ShapeError.
     """
-    _need_truncation(rec, i, "total_recurrent_points")
-    return sum(
-        r * digraph_count_by_recurrent(i, j, r, rec) for r in range(i + 1)
-    )
+    return digraph_count(i, j, rec.pointing())
 
 
 def component_weights(rec: CoeffSeq) -> CoeffSeq:
@@ -156,9 +152,11 @@ def _ballot_powers(nmax: int, rmax: int):
 def identity_checks(rec: CoeffSeq, nmax: int) -> list[IdentityCheck]:
     """Evaluate the order-sum identities as exact integer comparisons.
 
-    Four families, all multiplied through so no division ever happens:
+    Four families, all multiplied through so each side is an integer:
 
-    * ballot_block_sum: sum_i i! sdiff(n+r+1, i, r) = r! r (E^r Bal^(r+1))[n]
+    * ballot_block_sum: sum_i i! sdiff(n+r+1, i, r) = r! r (E^r Bal^(r+1))[n],
+      the left side read as cayley_count(n+r+1, S_r), since S_r has r!
+      structures of size r and none of any other size
     * ballot_integral_doubled: 2r (int E^r Bal^(r+1))[n] = (E^r Bal^r - 1)[n]
     * segment_expansion: Cay-count(n) = R[n]
           + sum_r (pointed R_r) (+) (int E^r Bal^(r+1)) at n
@@ -190,7 +188,7 @@ def identity_suite(recs: list[CoeffSeq], nmax: int) -> list[list[IdentityCheck]]
         IdentityCheck(
             "ballot_block_sum",
             (r, n),
-            sum(factorial(i) * sdiff(n + r + 1, i, r) for i in range(n + r + 2)),
+            cayley_count(n + r + 1, atom("S_r", n + r + 1, r)),
             factorial(r) * r * mixed[r].counts[n],
         )
         for r in ballot_rs

@@ -7,8 +7,10 @@ Summed against a recurrent sequence they give the closed form, which
 checks the counts that `digraphs.count_sequence` serves; only `table
 sdiff` and `check identities` print values computed here.  Columns come
 from one iterative builder, sdiff_rows (table sdiff, iter_sdiff_levels);
-points from the cached sdiff (closed-form totals, identity suite); and
-r_stirling telescopes: S_r(n, m) = sum over q >= r of sdiff(n, m, q).
+points from the cached sdiff, which two readers call: the closed form,
+`digraphs._closed_form_total` (every closed-form count, the statistic
+totals and the identity suite), and r_stirling, which telescopes:
+S_r(n, m) = sum over q >= r of sdiff(n, m, q).
 """
 
 from __future__ import annotations

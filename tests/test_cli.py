@@ -419,6 +419,12 @@ def test_usage_error_exit_code():
     assert rc == 2
     rc, out = run(["count", "--n", "3", "--class", "forest:7"])  # no parameter
     assert rc == 2 and out == ""
+    # A flag that the chosen form would ignore is rejected, not ignored.
+    for argv in (["seq", "cayder", "--class", "tree", "--nmax", "3"],
+                 ["table", "sdiff", "--R", "Der", "--nmax", "3"],
+                 ["table", "psi", "--r", "5", "--nmax", "3"]):
+        rc, out = run(argv)
+        assert rc == 2 and out == "", argv
 
 
 def test_joyal_text_output():

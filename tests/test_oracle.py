@@ -160,6 +160,7 @@ def test_count_table_matches_formulas():
 
 def test_count_table_by_recurrent_size_matches_formulas():
     from recdig.digraphs import digraph_count_by_recurrent
+    from recdig.stats import total_recurrent_points
 
     for n in range(8):
         table = oracle.count_table(
@@ -171,6 +172,11 @@ def test_count_table_by_recurrent_size_matches_formulas():
                 assert table.get((i, n - i, r), 0) == digraph_count_by_recurrent(
                     i, n - i, r, s
                 ), (i, n - i, r)
+            # The recurrent-point total against the oracle, not against
+            # the pointed closed form it is computed by.
+            assert total_recurrent_points(i, n - i, s) == sum(
+                r * table.get((i, n - i, r), 0) for r in range(i + 1)
+            ), (i, n - i)
 
 
 def test_count_table_by_ijr_walks_each_map_at_most_once(monkeypatch):
@@ -330,9 +336,10 @@ def _members_by_profile(f, p):
 
 def test_matches_and_counts_read_no_profile(monkeypatch):
     # matches(f), given no profile, against membership by definition, on
-    # both paths (its own walk, which may stop early, and a full walk passed
-    # in as cycles) and on every map of [n]: endofunctions to n = 6 and the
-    # Cayley maps of [7] (smaller Cayley maps are among the endofunctions).
+    # every map of [n]: endofunctions to n = 6 and the Cayley maps of [7]
+    # (smaller Cayley maps are among the endofunctions).  count_table by
+    # "ijr" below walks every cycle of each map, so it checks the classes
+    # that read cycles on a full walk.
     # The same sweep keeps reference tables by (i, j, r) to n = 6 for six
     # classes in both models; count_table and count must then give them
     # with classify refusing, the pattern of test_idempotent_class_counts.
@@ -340,9 +347,6 @@ def test_matches_and_counts_read_no_profile(monkeypatch):
         oracle.parse_class, ("cayley", "tree", "forest", "connected",
                              "derangement", "indegree_bounded:2"),
     )]
-    # The classes that read a walk passed in; the others ignore it.
-    walkers = [(slot, pred) for slot, pred in enumerate(_EVERY_CLASS)
-               if oracle.CLASSES[pred.name][1] is not None]
     want = {}
     for model, sizes in (("endofunctions", range(7)), ("cayley", (7,))):
         for n in sizes:
@@ -350,9 +354,6 @@ def test_matches_and_counts_read_no_profile(monkeypatch):
                 p = _reference_profile(f)
                 members = _members_by_profile(f, p)
                 assert [pred.matches(f) for pred in _EVERY_CLASS] == members, f
-                walk = oracle._cycles(f)  # the path of a caller that walked f
-                assert [pred.matches(f, cycles=walk) for _, pred in walkers] == [
-                    members[slot] for slot, _ in walkers], f
                 if n == 7:
                     continue
                 key = (p.internal_count, p.leaf_count, p.recurrent_count)
