@@ -3,7 +3,8 @@
 Every data cell is printed as a decimal string, CSV is header-first and
 newline-terminated, JSON output is one object per line; identical argv
 always produces byte-identical output.  Exit codes: 0 success, 1
-verification or identity mismatch, 2 usage error (including a negative
+verification or identity mismatch (one stderr line names the failing
+n, or the first failing identity, R and index), 2 usage error (including a negative
 size and a flag that the chosen form would ignore), 3 enumeration budget
 exceeded, 4 internal error (any other exception, such as a RecursionError
 or a failed exactness or residual check: a bug, reported as one
@@ -323,11 +324,9 @@ def _cmd_check(args, out) -> int:
     recs = [atom(label, args.nmax) for label in labels]
     suite = stats.identity_suite(recs, args.nmax)
     rows = []
-    bad = 0
     for label, checks in zip(labels, suite):
         for check in checks:
             status = "ok" if check.ok else "FAIL"
-            bad += not check.ok
             rows.append((
                 check.identity,
                 label,
@@ -338,7 +337,12 @@ def _cmd_check(args, out) -> int:
             ))
     _emit(["identity", "R", "index", "lhs", "rhs", "status"],
           ((row,) for row in rows), args.format, out)
-    return EXIT_MISMATCH if bad else EXIT_OK
+    for row in rows:
+        if row[-1] == "FAIL":
+            print("identity check failed at {}, R = {}, index = {}".format(*row),
+                  file=sys.stderr)
+            return EXIT_MISMATCH
+    return EXIT_OK
 
 
 def _cmd_report(args, out) -> int:

@@ -10,8 +10,8 @@ fixed-point-free permutations, ...).
 Three independent routes to the same numbers live here:
 
 * a closed formula over Stirling difference numbers (digraph_count,
-  cayley_count, endofunction_count), all read by one function,
-  _closed_form_total, with a weight per internal-node count,
+  cayley_count, endofunction_count, closed_form_sequence), all read by
+  one function, _closed_form, with the weights of row n given per n,
 * the two-sort coefficient recursion, one row kernel (digraph_rows,
   digraph_table, digraph_table_with_branches, count_sequence),
 * composition of R with the rooted-tree table (via recdig.tables).
@@ -19,13 +19,15 @@ Three independent routes to the same numbers live here:
 The recursion serves: count_sequence streams the table through a sort
 merge in O(N^2) time and O(N) memory, yields each count as soon as it is
 final, and answers the CLI's seq, verify and report commands.  The closed
-form is the independent check on it (check identities and the tests).
+form is the independent check on it (check identities and the tests):
+it reads each column of stirling.sdiff_rows it needs once, one row at a
+time, so it caches nothing, never recurses, and holds O(N) integers.
 
 The row kernel (_rows) only adds and multiplies, so it is generic in its
 number type: seeded with decimal.Decimal counts under an exact context
 it yields exact integer Decimals, which table psi prints in linear time.
 recdig.tables (the sort merges, CoeffTable, the tree solver) and
-recdig.stirling (sdiff, read by _closed_form_total alone) are imported
+recdig.stirling (sdiff_rows, read by _closed_form alone) are imported
 inside the functions that use them, so digraph_rows alone loads no table
 machinery and the serving route loads no Stirling numbers.
 
@@ -35,8 +37,8 @@ Every division in the closed formulas is exact; each one is asserted.
 from __future__ import annotations
 
 from collections import deque
-from itertools import repeat
-from math import factorial, perm
+from itertools import accumulate, islice, repeat
+from math import factorial
 from operator import add, mul
 from typing import Iterator, Sequence
 
@@ -93,7 +95,8 @@ def _cell(i: int, j: int, rec: CoeffSeq, what: str) -> int:
     """The closed form with the single weight i! at index i."""
     if i < 0 or j < 0:
         raise ShapeError(f"{what}: size ({i}, {j}) is negative")
-    return _closed_form_total(i + j, rec, [0] * i + [factorial(i)])
+    weight = [0] * i + [factorial(i)]
+    return _closed_form(rec, lambda n: weight, i + j, i + j)[0]
 
 
 def digraph_rows(rec: CoeffSeq, nmax: int) -> Iterator[list[int]]:
@@ -167,8 +170,8 @@ def count_sequence(rec: CoeffSeq, nmax: int, model: str) -> Iterator[int]:
     "endofunctions".  The model and the truncation are checked when this
     is called, before any count is produced; a caller that needs a
     sequence wraps the iterator in tuple().  O(nmax^2) big-integer
-    operations and O(nmax) integers of memory; cayley_count and
-    endofunction_count are the closed-form check on it.
+    operations and O(nmax) integers of memory; closed_form_sequence is
+    the closed-form check on it.
     """
     if model not in ("cayley", "endofunctions"):
         raise ValueError(f"unknown model {model!r}")
@@ -179,37 +182,61 @@ def count_sequence(rec: CoeffSeq, nmax: int, model: str) -> Iterator[int]:
     )
 
 
-def _closed_form_total(n: int, rec: CoeffSeq, weights: list[int]) -> int:
-    """sum_r |R[r]| / r! * sum_i weights[i] * sdiff(n, i, r).
+def _closed_form(rec: CoeffSeq, weights, nmax: int, first: int) -> list[int]:
+    """[sum_r |R[r]| / r! * sum_i w[i] * sdiff(n, i, r)], w = weights(n),
+    for n = first..nmax.
 
     The weight picks which labels play the i internal nodes: any i of them
     in order (perm(n, i), endofunctions), 1..i (i!, Cayley permutations),
-    or [i] on [i, j] (the single weight i! at i, n = i + j).  Since
-    sdiff(n, i, r) = 0 for r > i, r runs up to the last weight; every r
-    with R[r] = 0 and every zero weight is skipped, and each r costs one
-    exact division.  The only reader of sdiff outside recdig.stirling.
+    or [i] on [i, j] (the single weight i! at i, n = i + j).  Column r of
+    stirling.sdiff_rows is read once for each r with R[r] != 0, one row at
+    a time, and r stops at the last weight of row nmax; sdiff(n, i, r) = 0
+    for i < r, so each dot starts at i = r.  Rows below first only feed
+    the recurrence, so a point call (first = nmax) forms one dot per
+    column.  Nothing is cached and nothing recurses: O(nmax^3) big-integer
+    operations and O(nmax) integers of memory.  Each term costs one exact
+    division.
     """
-    from recdig.stirling import sdiff
+    from recdig.stirling import sdiff_rows
 
-    terms = [(i, w) for i, w in enumerate(weights) if w]
-    total = 0
-    for r, c in enumerate(rec.counts[: len(weights)]):
+    totals = [0] * (nmax + 1)
+    for r, c in enumerate(rec.counts[: len(weights(nmax))]):
         if c:
-            inner = sum(w * sdiff(n, i, r) for i, w in terms)
-            total += exact_div(c * inner, factorial(r))
-    return total
+            fr = factorial(r)
+            for n, row in islice(enumerate(sdiff_rows(r, nmax)), max(r, first), None):
+                dot = sum(map(mul, weights(n)[r:], row[r:]))
+                totals[n] += exact_div(c * dot, fr)
+    return totals[first:]
+
+
+# Row n's weights per model, one product each: i! and perm(n, i), i = 0..n.
+_WEIGHTS = {
+    "cayley": lambda n: list(accumulate(range(1, n + 1), mul, initial=1)),
+    "endofunctions": lambda n: list(accumulate(range(n, 0, -1), mul, initial=1)),
+}
+
+
+def closed_form_sequence(rec: CoeffSeq, nmax: int, model: str) -> list[int]:
+    """R-recurrent counts for n = 0..nmax by the closed form, the check on
+    count_sequence, which takes the same arguments and raises the same
+    errors.  One sweep of every column: each count is final only at the
+    end, so this returns a list."""
+    if model not in _WEIGHTS:
+        raise ValueError(f"unknown model {model!r}")
+    _need_truncation(rec, nmax, "closed_form_sequence")
+    return _closed_form(rec, _WEIGHTS[model], nmax, 0)
 
 
 def endofunction_count(n: int, rec: CoeffSeq) -> int:
     """R-recurrent endofunctions of [n]: both sorts over the same labels."""
     _need_truncation(rec, n, "endofunction_count")
-    return _closed_form_total(n, rec, [perm(n, i) for i in range(n + 1)])
+    return _closed_form(rec, _WEIGHTS["endofunctions"], n, n)[0]
 
 
 def cayley_count(n: int, rec: CoeffSeq) -> int:
     """R-recurrent Cayley permutations of [n]: internal nodes take 1..i."""
     _need_truncation(rec, n, "cayley_count")
-    return _closed_form_total(n, rec, [factorial(i) for i in range(n + 1)])
+    return _closed_form(rec, _WEIGHTS["cayley"], n, n)[0]
 
 
 # -- named structure classes -------------------------------------------------

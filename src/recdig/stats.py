@@ -11,14 +11,16 @@ are produced.
 
 The total_* helpers and the identity suite are counts of modified
 classes under the closed forms of recdig.digraphs (digraph_count,
-cayley_count, endofunction_count), so this module reads no Stirling
-number itself; the asymptotics report is served by the table recursion
-(digraphs.count_sequence), so the two routes stay independent.
-The report is one table of (statistic, numerators, denominators) and one
-row helper.  The identity suite builds its ballot products (two per r)
-and its two segment expansions (sums of ordinal products) as whole
-sequences, and reads them off per n; `identity_suite` builds the ballot
-side, which does not depend on R, once for every R it checks.
+cayley_count, endofunction_count, closed_form_sequence), so this module
+reads no Stirling number itself; the asymptotics report is served by the
+table recursion (digraphs.count_sequence), so the two routes stay
+independent.  The report is one table of (statistic, numerators,
+denominators) and one row helper.  The identity suite builds every side
+as a whole sequence and reads it off per n: the ballot products (two per
+r), the two segment expansions (sums of ordinal products), and the
+closed-form sides, one closed_form_sequence of R and one of S_r per
+ballot r.  `identity_suite` builds the ballot side, which does not
+depend on R, once for every R it checks.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from operator import add, mul
 from recdig._record import Record
 from recdig.digraphs import (
     cayley_count,
+    closed_form_sequence,
     count_sequence,
     digraph_count,
     endofunction_count,
@@ -155,8 +158,9 @@ def identity_checks(rec: CoeffSeq, nmax: int) -> list[IdentityCheck]:
     Four families, all multiplied through so each side is an integer:
 
     * ballot_block_sum: sum_i i! sdiff(n+r+1, i, r) = r! r (E^r Bal^(r+1))[n],
-      the left side read as cayley_count(n+r+1, S_r), since S_r has r!
-      structures of size r and none of any other size
+      the left side read off the closed_form_sequence of S_r in the Cayley
+      model, since S_r has r! structures of size r and none of any other
+      size
     * ballot_integral_doubled: 2r (int E^r Bal^(r+1))[n] = (E^r Bal^r - 1)[n]
     * segment_expansion: Cay-count(n) = R[n]
           + sum_r (pointed R_r) (+) (int E^r Bal^(r+1)) at n
@@ -184,16 +188,15 @@ def identity_suite(recs: list[CoeffSeq], nmax: int) -> list[list[IdentityCheck]]
     integrals = [m.integral() for m in mixed]
     ballot_rs = range(1, BALLOT_RMAX + 1)
 
-    ballot = [
-        IdentityCheck(
-            "ballot_block_sum",
-            (r, n),
-            cayley_count(n + r + 1, atom("S_r", n + r + 1, r)),
-            factorial(r) * r * mixed[r].counts[n],
+    ballot = []
+    for r in ballot_rs:
+        top = nmax + r + 1
+        blocks = closed_form_sequence(atom("S_r", top, r), top, "cayley")
+        ballot.extend(
+            IdentityCheck("ballot_block_sum", (r, n), blocks[n + r + 1],
+                          factorial(r) * r * mixed[r].counts[n])
+            for n in range(nmax + 1)
         )
-        for r in ballot_rs
-        for n in range(nmax + 1)
-    ]
     for r in ballot_rs:
         lhs, rhs = integrals[r], square[r] - one
         ballot.extend(
@@ -218,7 +221,7 @@ def _segment_checks(
     halved = reduce(add, (
         ordinal_product(rec.restrict(r), lifted[r]) for r in range(nmax + 1)
     ))
-    cayley = [cayley_count(n, rec) for n in range(nmax + 1)]
+    cayley = closed_form_sequence(rec, nmax, "cayley")
     return [
         IdentityCheck("segment_expansion", (n,), c, e)
         for n, (c, e) in enumerate(zip(cayley, expansion.counts))

@@ -5,17 +5,19 @@ sdiff(n, m, r) count set partitions of [n] into m blocks where r is the
 largest prefix length such that 1, ..., r land in pairwise distinct blocks.
 Summed against a recurrent sequence they give the closed form, which
 checks the counts that `digraphs.count_sequence` serves; only `table
-sdiff` and `check identities` print values computed here.  Columns come
-from one iterative builder, sdiff_rows (table sdiff, iter_sdiff_levels);
-points from the cached sdiff, which two readers call: the closed form,
-`digraphs._closed_form_total` (every closed-form count, the statistic
-totals and the identity suite), and r_stirling, which telescopes:
-S_r(n, m) = sum over q >= r of sdiff(n, m, q).
+sdiff` and `check identities` print values computed here.  Every reader
+in the package takes columns from one iterative builder, sdiff_rows:
+table sdiff, the closed form (`digraphs._closed_form`: every closed-form
+count, the statistic totals and the identity suite), iter_sdiff_levels,
+and r_stirling, which telescopes: S_r(n, m) = sum over q >= r of
+sdiff(n, m, q).  The recursive, cached sdiff is the reference that the
+tests check sdiff_rows against; no code in the package calls it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice
 from typing import Iterator
 
 
@@ -54,16 +56,20 @@ def iter_sdiff_levels(nmax: int) -> Iterator[tuple[int, tuple[tuple[int, ...], .
 
 def r_stirling(n: int, m: int, r: int) -> int:
     """Set partitions of [n] into m blocks with 1, ..., r in distinct blocks:
-    the sum of sdiff(n, m, q) over q >= r.  Out of range, it is 0."""
-    return sum(sdiff(n, m, q) for q in range(r, n + 1)) if r >= 0 else 0
+    the sum of sdiff(n, m, q) over q >= r, read from row n of each column
+    q of sdiff_rows.  Out of range, it is 0."""
+    if not (0 <= m <= n and r >= 0):
+        return 0
+    return sum(next(islice(sdiff_rows(q, n), n, None))[m] for q in range(r, n + 1))
 
 
 @lru_cache(maxsize=None)
 def sdiff(n: int, m: int, r: int) -> int:
     """Partitions of [n] into m blocks where r is maximal with 1..r separated.
 
-    The point lookup for callers that read single cells of many columns:
-    sdiff_rows's recurrence, recursive and cached.  Out of range, it is 0.
+    sdiff_rows's recurrence, recursive and cached: the tests' reference
+    for sdiff_rows.  No code in the package calls it; it stays while the
+    benchmark's probes read its cache.  Out of range, it is 0.
     """
     if not (0 <= r <= n and 0 <= m <= n):
         return 0

@@ -119,15 +119,18 @@ class _CountingOut:
         pass
 
 
-def test_table_sdiff_streams_one_column():
-    # The column builder holds one row at a time and never fills the
-    # point lookup's cache; the cached recursion took 46,042 entries and
+def test_table_sdiff_streams_one_column(monkeypatch):
+    # The column builder holds one row at a time and never calls the
+    # recursive point lookup; the cached recursion took 46,042 entries and
     # 11.2 MB here.
     import tracemalloc
 
-    from recdig.stirling import sdiff
+    import recdig.stirling
 
-    sdiff.cache_clear()
+    def refuse(*args):
+        raise AssertionError("table sdiff called the recursive point lookup")
+
+    monkeypatch.setattr(recdig.stirling, "sdiff", refuse)
     out = _CountingOut()
     tracemalloc.start()
     try:
@@ -136,7 +139,6 @@ def test_table_sdiff_streams_one_column():
     finally:
         tracemalloc.stop()
     assert out.size > 10**6
-    assert sdiff.cache_info().currsize == 0
     assert peak < 2 * 2**20, peak
 
 
@@ -456,6 +458,34 @@ def test_check_identities():
     lines = out.strip().splitlines()
     assert lines[0] == "identity,R,index,lhs,rhs,status"
     assert all(line.endswith(",ok") for line in lines[1:])
+
+
+def test_check_identities_names_its_first_failure(monkeypatch, capsys):
+    # An off-by-one closed-form count of Der at n = 4 fails both segment
+    # expansions there; stderr names the first, stdout marks both rows.
+    from recdig import stats
+    from recdig.series import atom
+
+    right = stats.closed_form_sequence
+    der = atom("Der", 6).counts
+
+    def off_by_one(rec, nmax, model):
+        counts = right(rec, nmax, model)
+        if rec.counts == der:
+            counts[4] += 1
+        return counts
+
+    monkeypatch.setattr(stats, "closed_form_sequence", off_by_one)
+    rc, out = run(["check", "identities", "--nmax", "6"])
+    assert rc == 1
+    failed = [line for line in out.splitlines() if line.endswith(",FAIL")]
+    assert [line.split(",")[:3] for line in failed] == [
+        ["segment_expansion", "Der", "4"],
+        ["segment_expansion_halved", "Der", "4"],
+    ]
+    assert capsys.readouterr().err == (
+        "identity check failed at segment_expansion, R = Der, index = 4\n"
+    )
 
 
 def test_report_asymptotics():

@@ -16,6 +16,7 @@ from recdig.digraphs import (
     cayley_derangement_count,
     cayley_forest_count,
     cayley_tree_count,
+    closed_form_sequence,
     count_sequence,
     digraph_count,
     digraph_count_by_recurrent,
@@ -27,7 +28,6 @@ from recdig.digraphs import (
     recurrent_structure_for_class,
 )
 from recdig.series import ShapeError, atom
-from recdig.stirling import sdiff
 from recdig.tables import CoeffTable, compose_table, rooted_tree_table
 
 FUBINI = (1, 1, 3, 13, 75, 541, 4683, 47293, 545835, 7087261)
@@ -110,15 +110,85 @@ def test_recursion_unrolled_once():
 
 
 def test_count_sequence_matches_closed_form():
-    nmax = 60
-    for klass, label in CLASS_RECURRENT_ATOMS.items():
+    nmax = 120
+    for (klass, label), model in product(
+        CLASS_RECURRENT_ATOMS.items(), ("cayley", "endofunctions")
+    ):
         rec = atom(label, nmax)
-        assert tuple(count_sequence(rec, nmax, "cayley")) == tuple(
+        assert tuple(count_sequence(rec, nmax, model)) == tuple(
+            closed_form_sequence(rec, nmax, model)
+        ), (klass, model)
+
+
+def test_closed_form_point_calls_match_the_sequence():
+    nmax = 12
+    for label in CLASS_RECURRENT_ATOMS.values():
+        rec = atom(label, nmax)
+        assert closed_form_sequence(rec, nmax, "cayley") == [
             cayley_count(n, rec) for n in range(nmax + 1)
-        ), klass
-        assert tuple(count_sequence(rec, nmax, "endofunctions")) == tuple(
+        ], label
+        assert closed_form_sequence(rec, nmax, "endofunctions") == [
             endofunction_count(n, rec) for n in range(nmax + 1)
-        ), klass
+        ], label
+    with pytest.raises(ValueError):
+        closed_form_sequence(atom("S", 3), 3, "permutations")
+    with pytest.raises(ShapeError):
+        closed_form_sequence(atom("S", 3), 4, "cayley")
+    assert closed_form_sequence(atom("S", 0), 0, "endofunctions") == [1]
+
+
+def test_closed_form_needs_no_recursion_and_bounded_memory():
+    # The cached recursion raised RecursionError here, and its cache took
+    # 29 MB at n = 80; one column row at a time stays under 2 MB.
+    import tracemalloc
+
+    assert endofunction_count(1100, atom("X", 1100)) == 1100**1099
+    der = atom("Der", 100)
+    tracemalloc.start()
+    try:
+        cayley_count(100, der)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+
+
+def test_closed_form_reads_no_point_lookup(monkeypatch):
+    import recdig.stirling
+    from recdig import stats
+
+    def closed_forms():
+        s, der = atom("S", 9), atom("Der", 9)
+        out = io.StringIO()
+        return (
+            [digraph_count_by_recurrent(i, 7 - i, r, s)
+             for i in range(8) for r in range(8)],
+            [digraph_count(i, 7 - i, der) for i in range(8)],
+            [cayley_count(n, der) for n in range(10)],
+            [endofunction_count(n, der) for n in range(10)],
+            closed_form_sequence(s, 9, "cayley"),
+            closed_form_sequence(der, 9, "endofunctions"),
+            [cayley_derangement_count(n) for n in range(10)],
+            stats.total_recurrent_points(3, 4, der),
+            stats.total_components(3, 4, s),
+            stats.total_recurrent_cayley(8, der),
+            stats.total_recurrent_end(8, der),
+            stats.total_components_cayley(8, s),
+            stats.total_components_end(8, der),
+            [recdig.stirling.r_stirling(n, m, r)
+             for n in range(8) for m in range(9) for r in range(9)],
+            main(["check", "identities", "--nmax", "12"], out=out),
+            out.getvalue(),
+        )
+
+    expected = closed_forms()
+
+    def refuse(*args):
+        raise AssertionError("the recursive point lookup was called")
+
+    monkeypatch.setattr(recdig.stirling, "sdiff", refuse)
+    assert closed_forms() == expected
+    assert expected[2] == list(CAYDER[:10]) and expected[-2] == 0
 
 
 def test_count_sequence_matches_stored_table_merges():
@@ -147,8 +217,14 @@ def test_count_sequence_input_errors():
         digraph_table_with_branches(atom("S", 0), atom("L", 0), -1)
 
 
-def test_serving_commands_leave_the_closed_form_cold():
-    sdiff.cache_clear()
+def test_serving_commands_leave_the_closed_form_cold(monkeypatch):
+    import recdig.stirling
+
+    def refuse(*args):
+        raise AssertionError("a serving command read a Stirling number")
+
+    monkeypatch.setattr(recdig.stirling, "sdiff_rows", refuse)
+    monkeypatch.setattr(recdig.stirling, "sdiff", refuse)
     for argv in (
         ["seq", "cayder", "--nmax", "20"],
         ["seq", "cay", "--class", "forest", "--nmax", "20"],
@@ -157,7 +233,6 @@ def test_serving_commands_leave_the_closed_form_cold():
         ["report", "asymptotics", "--nmax", "20"],
     ):
         assert main(argv, out=io.StringIO()) == 0, argv
-    assert sdiff.cache_info().currsize == 0
 
 
 def test_table_2_2_against_oracle():
