@@ -12,13 +12,18 @@ is left untouched.
 The two-sort pair does the same between rooted trees carrying one extra
 distinguished leaf and permutations of rooted trees: the spine runs from
 the extra leaf (excluded) up to the root, and cutting it turns each spine
-node into the root of its own tree; the pair shares one spine cut and one
-spine link.  Every map is one pass over the structure up to sorting the
-spine: the unisort backward map links the spine into a copy of f as it
-reads the sorted recurrent points, and the forward map climbs once and
-writes once.  Each constructor validates in one pass too (one climb per
-node, one childless set), and the two-sort enumerators skip a Pruefer
-code with too many childless nodes before decoding it.
+node into the root of its own tree.  Only the two-sort pair goes through
+the shared spine cut and link (_spine, _link); the unisort pair inlines
+both, for speed: through them its n = 6 round trips took 0.35-0.38 s, not
+0.28-0.29 s (best of 5, interleaved; 2 vCPU Xeon, Python 3.11.7).  Forests
+are checked by _roots: the oracle's _cycles took unisort from 0.31-0.34 s
+to 0.37-0.38 s and two-sort from 0.094-0.10 s to 0.12 s.  Every map is one
+pass over the structure up to sorting the spine: the unisort backward map
+links the spine into a copy of f as it reads the sorted recurrent points,
+and the forward map climbs once and writes once.  Each constructor
+validates in one pass too (one climb per node, one childless set), and
+the two-sort enumerators skip a Pruefer code with too many childless
+nodes before decoding it.
 """
 
 from __future__ import annotations

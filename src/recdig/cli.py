@@ -351,8 +351,7 @@ def _cmd_report(args, out) -> int:
 
     from recdig import stats
 
-    # The headers are the field names of stats.AsymptoticsRow.
-    headers = ["statistic", "n", "numerator", "denominator", "ratio", "reference"]
+    headers = stats.AsymptoticsRow.__slots__
     cells = attrgetter(*headers)
     blocks = (  # one block per n
         map(cells, group)

@@ -8,8 +8,9 @@ deterministic, so streamed output is reproducible:
 * Cayley permutations: ascending image size k, lexicographic within each k,
   generated constructively (never by filtering all n^n maps).
 
-Default size budgets keep runs at desk scale: n <= 8 for endofunctions
-(8^8 is about 1.7e7) and n <= 9 for Cayley permutations (7,087,261 maps).
+`MODELS` declares each model once, with its enumerator and its budget, the
+largest n enumerated without override_budget: 8 for endofunctions (8^8 is
+about 1.7e7) and 9 for Cayley permutations (7,087,261 maps).
 
 Every map is visited.  Each class is declared once, in `CLASSES`, by a
 rule that reads only what it needs: one scan for a fixed point, the image
@@ -44,11 +45,6 @@ from recdig._record import Record
 
 Endofunction = tuple[int, ...]
 
-BUDGET_ENDOFUNCTIONS = 8
-BUDGET_CAYLEY = 9
-
-MODELS = ("endofunctions", "cayley")
-
 
 class BudgetExceededError(RuntimeError):
     """Requested size is beyond the configured enumeration budget."""
@@ -65,11 +61,13 @@ def check_endofunction(f: Iterable[int]) -> Endofunction:
 
 
 def check_budget(n: int, model: str, override_budget: bool) -> None:
-    """Raise ValueError for a negative size, and BudgetExceededError if
-    enumerating size n would pass the budget."""
+    """Raise ValueError for an unknown model or a negative size, and
+    BudgetExceededError if enumerating size n would pass the model's budget."""
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}")
     if n < 0:
         raise ValueError(f"size must be nonnegative, got {n}")
-    limit = BUDGET_ENDOFUNCTIONS if model == "endofunctions" else BUDGET_CAYLEY
+    limit = MODELS[model][0]
     if n > limit and not override_budget:
         raise BudgetExceededError(
             f"n={n} exceeds the {model} budget of {limit}; "
@@ -99,7 +97,7 @@ def _surjection_blocks(n: int, k: int) -> Iterator[Iterator[Endofunction]]:
     """
     values = range(1, k + 1)
     short_tails: dict[tuple[int, int], list[Endofunction]] = {}
-    stack: list[tuple[Endofunction, int]] = [((), 0)]
+    stack = [((), 0)]
     while stack:
         head, mask = stack.pop()
         remaining = n - len(head)
@@ -132,14 +130,15 @@ def enumerate_cayley(n: int, override_budget: bool = False) -> Iterator[Endofunc
     return chain.from_iterable(blocks)
 
 
+# Each model, declared once, as name: (budget, enumerator).
+MODELS = dict(endofunctions=(8, enumerate_endofunctions), cayley=(9, enumerate_cayley))
+
+
 def enumerate_maps(
     n: int, model: str, override_budget: bool = False
 ) -> Iterator[Endofunction]:
-    if model == "endofunctions":
-        return enumerate_endofunctions(n, override_budget)
-    if model == "cayley":
-        return enumerate_cayley(n, override_budget)
-    raise ValueError(f"unknown model {model!r}")
+    check_budget(n, model, override_budget)
+    return MODELS[model][1](n, override_budget)
 
 
 class DigraphProfile(NamedTuple):
@@ -314,7 +313,11 @@ class ClassPredicate(Record):
 def parse_class(text: str) -> ClassPredicate:
     """Parse "forest", "idempotent:3", "indegree_bounded:2", ..."""
     name, colon, param = text.partition(":")
-    return ClassPredicate(name, int(param) if colon else None)
+    try:
+        k = int(param) if colon else None
+    except ValueError:
+        raise ValueError(f"class {name}: {param!r} is not an integer") from None
+    return ClassPredicate(name, k)
 
 
 def count(

@@ -58,87 +58,64 @@ class CoeffTable(Record, compare=("rows",)):
 
     @classmethod
     def x_singleton(cls, nmax: int) -> "CoeffTable":
-        t = [[0] * (nmax + 1 - i) for i in range(nmax + 1)]
-        if nmax >= 1:
-            t[1][0] = 1
-        return cls(tuple(tuple(r) for r in t))
+        """One X label: cell (1, 0) is 1, every other cell 0."""
+        return _singleton(nmax, (1, 0))
 
     @classmethod
     def y_singleton(cls, nmax: int) -> "CoeffTable":
-        t = [[0] * (nmax + 1 - i) for i in range(nmax + 1)]
-        if nmax >= 1:
-            t[0][1] = 1
-        return cls(tuple(tuple(r) for r in t))
+        """One Y label: cell (0, 1) is 1, every other cell 0."""
+        return _singleton(nmax, (0, 1))
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "CoeffTable") -> "CoeffTable":
         same_truncation(self, other, "sum")
-        rows = tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)
-        )
-        return CoeffTable(rows, virtual=self.virtual or other.virtual)
+        a, b = self.rows, other.rows
+        virtual = self.virtual or other.virtual
+        return _table(self.truncation, lambda i, j: a[i][j] + b[i][j], virtual)
 
     def __sub__(self, other: "CoeffTable") -> "CoeffTable":
         same_truncation(self, other, "difference")
-        rows = tuple(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)
-        )
-        return CoeffTable(rows, virtual=True)
+        a, b = self.rows, other.rows
+        return _table(self.truncation, lambda i, j: a[i][j] - b[i][j], True)
 
     def __mul__(self, other: "CoeffTable") -> "CoeffTable":
         """Labeled product, a binomial convolution in both sorts: each cell
         is _product_cell, with binomials from pascal_rows."""
         same_truncation(self, other, "product")
-        n = self.truncation
-        a, b = self.rows, other.rows
+        n, a, b = self.truncation, self.rows, other.rows
         binom = list(pascal_rows(n))
-        rows = tuple(
-            tuple(_product_cell(a, b, binom, i, j) for j in range(n + 1 - i))
-            for i in range(n + 1)
-        )
-        return CoeffTable(rows, virtual=self.virtual or other.virtual)
+        virtual = self.virtual or other.virtual
+        return _table(n, lambda i, j: _product_cell(a, b, binom, i, j), virtual)
 
     # -- per-sort operators --------------------------------------------------
 
     def partial_x(self) -> "CoeffTable":
         """One extra X label: c[i][j] = a[i+1][j]; truncation drops by one."""
-        n = self.truncation
-        if n == 0:
-            raise ShapeError("partial derivative of a truncation-0 table is empty")
-        rows = tuple(
-            tuple(self.rows[i + 1][j] for j in range(n - i))
-            for i in range(n)
-        )
-        return CoeffTable(rows, virtual=self.virtual)
+        return self._partial(1, 0)
 
     def partial_y(self) -> "CoeffTable":
         """One extra Y label: c[i][j] = a[i][j+1]; truncation drops by one."""
+        return self._partial(0, 1)
+
+    def _partial(self, di: int, dj: int) -> "CoeffTable":
+        """c[i][j] = a[i+di][j+dj], the derivative in the sort of (di, dj)."""
         n = self.truncation
         if n == 0:
             raise ShapeError("partial derivative of a truncation-0 table is empty")
-        rows = tuple(
-            tuple(self.rows[i][j + 1] for j in range(n - i))
-            for i in range(n)
-        )
-        return CoeffTable(rows, virtual=self.virtual)
+        a = self.rows
+        return _table(n - 1, lambda i, j: a[i + di][j + dj], self.virtual)
 
     def pointing_x(self) -> "CoeffTable":
         """Distinguish an X label: c[i][j] = i * a[i][j]."""
-        rows = tuple(
-            tuple(i * c for c in row) for i, row in enumerate(self.rows)
-        )
-        return CoeffTable(rows, virtual=self.virtual)
+        a = self.rows
+        return _table(self.truncation, lambda i, j: i * a[i][j], self.virtual)
 
     def truncate(self, n: int) -> "CoeffTable":
         if n < 0 or n > self.truncation:
             raise ShapeError(f"cannot truncate table at {n}")
-        rows = tuple(
-            tuple(self.rows[i][j] for j in range(n + 1 - i)) for i in range(n + 1)
-        )
-        return CoeffTable(rows, virtual=self.virtual)
+        a = self.rows
+        return _table(n, lambda i, j: a[i][j], self.virtual)
 
     # -- merging the two sorts back into one -----------------------------------
 
@@ -236,6 +213,24 @@ def _identify_block(
     return map(floordiv, map(mul, column, weighted), repeat(divisor))
 
 
+def _table(n: int, cell, virtual: bool = False) -> CoeffTable:
+    """The table with cell(i, j) at each (i, j), i + j <= n: the one builder."""
+    return CoeffTable(
+        tuple(tuple(cell(i, j) for j in range(n + 1 - i)) for i in range(n + 1)),
+        virtual,
+    )
+
+
+def _singleton(nmax: int, at: tuple[int, int]) -> CoeffTable:
+    """The table with a 1 at cell ``at`` (when it fits) and 0 elsewhere."""
+    return _table(nmax, lambda i, j: int((i, j) == at))
+
+
+def _zeros(n: int) -> list[list[int]]:
+    """A mutable zero triangle of truncation n, a solver's working array."""
+    return [[0] * (n + 1 - i) for i in range(n + 1)]
+
+
 def _product_cell(g, z, binom, i: int, j: int) -> int:
     """Cell (i, j) of the labeled product G * Z with binomials from the Pascal
     rows ``binom``, skipping the zero cells of G.  It reads Z up to degree
@@ -307,15 +302,11 @@ def _derivative_tables(f: Sequence[int]):
     m0 = 0
     while (abc := _first_order_tail(f[m0:])) is None:
         m0 += 1
-    us = []
-    for m in range(m0 + 2):
-        size = big - m
-        u = [[0] * (size + 1 - i) for i in range(size + 1)]
-        if u:
-            u[0][0] = f[m]
-        us.append(u)
+    us = [_zeros(big - m) for m in range(m0 + 2)]
+    for u, seed in zip(us, f):  # array m > big is empty and has no seed
+        u[0][0] = seed
     a, b, c = abc
-    z = [[0] * len(row) for row in us[-1]]
+    z = _zeros(big - m0 - 1)
     if z:
         z[0][0] = a * f[m0 + 1] + c * f[m0]
     return us, (a, b, c, z)
@@ -409,8 +400,7 @@ def solve_tree_equation(branching: CoeffSeq, nmax: int) -> CoeffTable:
     binom = list(pascal_rows(nmax))
     # T up to degree nmax reads u_0 below it, so u_m stops at nmax - 1 - m.
     us, tail = _derivative_tables(b.counts[:nmax])
-    t = [[0] * (nmax + 1 - i) for i in range(nmax + 1)]
-    g = [[0] * (nmax + 1 - i) for i in range(nmax + 1)]
+    t, g = _zeros(nmax), _zeros(nmax)
     for d in range(1, nmax + 1):
         for i in range(1, d + 1):
             t[i][d - i] = g[i][d - i] = i * us[0][i - 1][d - i]

@@ -429,6 +429,44 @@ def test_usage_error_exit_code():
         assert rc == 2 and out == "", argv
 
 
+def test_malformed_class_parameter_is_named(capsys):
+    # The error names the class and the text that is not an integer.
+    for klass, param in (("tree", ""), ("idempotent", "x")):
+        assert run(["count", "--n", "3", "--class", f"{klass}:{param}"]) == (2, "")
+        assert capsys.readouterr().err == (
+            f"error: class {klass}: {param!r} is not an integer\n"
+        )
+
+
+def test_models_agree_across_routes():
+    # The oracle's model table, both counting routes and the --model
+    # choices of count and verify name the same two models, and each name
+    # means the same model on every route.
+    from recdig import digraphs
+    from recdig.cli import _build_parser
+    from recdig.series import atom
+
+    models = list(oracle.MODELS)
+    assert sorted(models) == ["cayley", "endofunctions"]
+    rec = atom("S", 4)
+    every = oracle.parse_class("all")
+    for model in models:
+        brute = [oracle.count(n, model, every) for n in range(5)]
+        assert list(digraphs.count_sequence(rec, 4, model)) == brute
+        assert digraphs.closed_form_sequence(rec, 4, model) == brute
+    for bad in ("bogus", "Cayley", ""):
+        for route in (digraphs.count_sequence, digraphs.closed_form_sequence):
+            with pytest.raises(ValueError, match="unknown model"):
+                route(rec, 4, bad)
+    commands = next(
+        a for a in _build_parser()._actions if a.dest == "command"
+    ).choices
+    for command in ("count", "verify"):
+        (model,) = (a for a in commands[command]._actions if a.dest == "model")
+        assert list(model.choices) == models
+        assert model.default in models
+
+
 def test_joyal_text_output():
     rc, out = run(["joyal", "--n", "15", "--input", "985776326459548"])
     assert rc == 0

@@ -63,6 +63,15 @@ def test_budgets():
     assert sum(1 for _ in oracle.enumerate_endofunctions(2, override_budget=True)) == 4
     with pytest.raises(ValueError):
         list(oracle.enumerate_maps(2, "nonsense"))
+    # Each model's one table entry gives its budget and its enumerator.
+    assert list(oracle.MODELS) == ["endofunctions", "cayley"]
+    for name, (budget, enumerate_) in oracle.MODELS.items():
+        assert list(oracle.enumerate_maps(3, name)) == list(enumerate_(3))
+        oracle.check_budget(budget, name, False)
+        with pytest.raises(oracle.BudgetExceededError, match=f"budget of {budget};"):
+            oracle.check_budget(budget + 1, name, False)
+        with pytest.raises(oracle.BudgetExceededError):
+            enumerate_(budget + 1)
 
 
 @pytest.mark.parametrize("model", oracle.MODELS)
@@ -78,6 +87,26 @@ def test_negative_sizes_are_rejected(model):
     )
     for call in calls:
         with pytest.raises(ValueError, match="size must be nonnegative"):
+            call()
+
+
+def test_unknown_model_is_rejected_at_every_entry_point():
+    # Each call raises at once, before it enumerates a map; check_budget
+    # raises too, whatever the size and the override.
+    every = oracle.parse_class("all")
+    tree = oracle.parse_class("tree")
+    calls = (
+        lambda: oracle.check_budget(3, "bogus", False),
+        lambda: oracle.check_budget(20, "bogus", False),
+        lambda: oracle.check_budget(-1, "bogus", True),
+        lambda: oracle.enumerate_maps(3, "bogus"),
+        lambda: oracle.count(3, "bogus", every),
+        lambda: oracle.count(3, "bogus", tree),
+        lambda: oracle.count_table(3, "bogus", tree),
+        lambda: oracle.count_table(3, "bogus", every, by="ijr"),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="unknown model 'bogus'"):
             call()
 
 

@@ -101,7 +101,13 @@ def test_each_command_loads_only_what_it_runs(child_env):
             "recdig.stirling"},
         ("report", "asymptotics", "--nmax", "4"): {
             "recdig.oracle", "recdig.bijections", "recdig.stirling"},
+        ("check", "identities", "--nmax", "4"): {
+            "recdig.tables", "recdig.oracle", "recdig.bijections"},
     }
+    joyal = {"recdig.series", "recdig.tables", "recdig.stirling", "recdig.digraphs",
+             "recdig.stats"}
+    for export in ((), ("--export", "dot")):
+        cases["joyal", "--n", "3", "--input", "231", *export] = joyal
     for argv, unused in cases.items():
         loaded = _modules_after(run.format(list(argv)), child_env)
         assert not loaded & unused, (argv, sorted(loaded))
