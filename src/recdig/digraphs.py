@@ -16,6 +16,11 @@ Three independent routes to the same numbers live here:
   digraph_table, digraph_table_with_branches, count_sequence),
 * composition of R with the rooted-tree table (via recdig.tables).
 
+Every count takes R itself: a named class is
+recurrent_structure_for_class(name, n), and the total of a statistic is
+the count of its weighting class (rec.pointing() for recurrent points,
+stats.component_weights(rec) for components).
+
 The recursion serves: count_sequence streams the table through a sort
 merge in O(N^2) time and O(N) memory, yields each count as soon as it is
 final, and answers the CLI's seq, verify and report commands.  The closed
@@ -256,26 +261,6 @@ def recurrent_structure_for_class(name: str, nmax: int) -> CoeffSeq:
         return atom(CLASS_RECURRENT_ATOMS[name], nmax)
     except KeyError:
         raise ValueError(f"unknown digraph class {name!r}") from None
-
-
-def cayley_derangement_count(n: int) -> int:
-    """Fixed-point-free Cayley permutations of [n]."""
-    return cayley_count(n, atom("Der", n))
-
-
-def cayley_connected_count(n: int) -> int:
-    """Cayley permutations of [n] with a connected functional digraph."""
-    return cayley_count(n, atom("C", n))
-
-
-def cayley_forest_count(n: int) -> int:
-    """Cayley permutations of [n] whose functional digraph is a forest."""
-    return cayley_count(n, atom("E", n))
-
-
-def cayley_tree_count(n: int) -> int:
-    """Cayley permutations of [n] whose functional digraph is a tree."""
-    return cayley_count(n, atom("X", n))
 
 
 # -- generalized branches ------------------------------------------------------

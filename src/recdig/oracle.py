@@ -19,7 +19,9 @@ call.  One stamped walk per start node finds the cycles, which gives the
 recurrent set and the cycle lengths in one linear pass; tree and forest
 stop it as soon as their answer is known.  `classify` describes the
 structure of a map (image, recurrent points, cycle lengths) and decides no
-class; no count needs it.
+class; no count needs it.  Summed over a class, its fields check the
+statistic totals, which the formulas give as the counts of weighting
+classes (pointed R for recurrent points, R log R for cycles).
 `enumerate_cayley` walks an explicit stack of prefixes and emits the
 completions of each prefix as one block: a product, the permutations of
 the missing values, or a memoized list of short tails.
@@ -214,17 +216,6 @@ def _cycles(f: Endofunction, stop=()):
     return points, lengths
 
 
-def recurrent_points(f: Endofunction) -> frozenset[int]:
-    """The nodes on the cycles of f, from the stamped walk of `classify`.
-
-    `classify` and the spine bijections share that walk.  That keeps the
-    routes independent: the oracle's counts are checked against the closed
-    form and the table recursion, and the bijections by their own round
-    trips and by the tree counts the closed form gives.
-    """
-    return frozenset(_cycles(f)[0])
-
-
 def classify(f: Endofunction) -> DigraphProfile:
     """The structure of a functional digraph; depends only on the value
     tuple.  Class membership is decided by ClassPredicate.matches alone."""
@@ -314,7 +305,8 @@ def parse_class(text: str) -> ClassPredicate:
     """Parse "forest", "idempotent:3", "indegree_bounded:2", ..."""
     name, colon, param = text.partition(":")
     try:
-        k = int(param) if colon else None
+        # An unknown name is left to ClassPredicate, which names it.
+        k = int(param) if colon and name in CLASSES else None
     except ValueError:
         raise ValueError(f"class {name}: {param!r} is not an integer") from None
     return ClassPredicate(name, k)

@@ -1,26 +1,24 @@
 """Statistics over recurrent digraphs and exact order-sum identities.
 
-Totals of a statistic (recurrent points, connected components) over all
-structures of a class are themselves counts of a modified class: weighting
-by the number of recurrent points points at the recurrent structure, and
-weighting by the number of components multiplies the recurrent counts by
-their logarithm.  Everything stays in exact integers; harmonic numbers
-only ever appear multiplied by factorials, and the asymptotics report is
-the single place where decimal renderings (never floats in identities)
-are produced.
+The total of a statistic (recurrent points, connected components) over
+all structures of a class is any count of recdig.digraphs of its
+weighting class: rec.pointing() weights each structure by its recurrent
+points, and component_weights(rec), R times log R, by its components.
+Everything stays in exact integers; harmonic numbers only ever appear
+multiplied by factorials, and the asymptotics report is the single place
+where decimal renderings (never floats in identities) are produced.
 
-The total_* helpers and the identity suite are counts of modified
-classes under the closed forms of recdig.digraphs (digraph_count,
-cayley_count, endofunction_count, closed_form_sequence), so this module
-reads no Stirling number itself; the asymptotics report is served by the
-table recursion (digraphs.count_sequence), so the two routes stay
-independent.  The report is one table of (statistic, numerators,
-denominators) and one row helper.  The identity suite builds every side
-as a whole sequence and reads it off per n: the ballot products (two per
-r), the two segment expansions (sums of ordinal products), and the
-closed-form sides, one closed_form_sequence of R and one of S_r per
-ballot r.  `identity_suite` builds the ballot side, which does not
-depend on R, once for every R it checks.
+The identity suite counts its classes by the closed form
+(digraphs.closed_form_sequence), so this module reads no Stirling number
+itself; the asymptotics report is served by the table recursion
+(digraphs.count_sequence), so the two routes stay independent.  The
+report is one table of (statistic, numerators, denominators) and one row
+helper.  The identity suite builds every side as a whole sequence and
+reads it off per n: the ballot products (two per r), the two segment
+expansions (sums of ordinal products), and the closed-form sides, one
+closed_form_sequence of R and one of S_r per ballot r.  `identity_suite`
+builds the ballot side, which does not depend on R, once for every R it
+checks.
 """
 
 from __future__ import annotations
@@ -32,11 +30,9 @@ from operator import add, mul
 
 from recdig._record import Record
 from recdig.digraphs import (
-    cayley_count,
     closed_form_sequence,
     count_sequence,
-    digraph_count,
-    endofunction_count,
+    recurrent_structure_for_class,
 )
 from recdig.series import (
     CoeffSeq,
@@ -69,15 +65,6 @@ def ordinal_product(a: CoeffSeq, b: CoeffSeq) -> CoeffSeq:
 # -- statistic totals ---------------------------------------------------------
 
 
-def total_recurrent_points(i: int, j: int, rec: CoeffSeq) -> int:
-    """Sum of the number of recurrent points over all structures on [i, j].
-
-    It is digraph_count of the pointed class, so a negative i or j, or an
-    i past the truncation of rec, raises ShapeError.
-    """
-    return digraph_count(i, j, rec.pointing())
-
-
 def component_weights(rec: CoeffSeq) -> CoeffSeq:
     """The class R * log R, whose counts weight each structure by its
     number of connected components."""
@@ -86,37 +73,6 @@ def component_weights(rec: CoeffSeq) -> CoeffSeq:
             "component counting needs exactly one empty recurrent structure"
         )
     return rec * rec.log()
-
-
-def total_components(i: int, j: int, rec: CoeffSeq) -> int:
-    """Sum of the number of components over all structures on [i, j]."""
-    return digraph_count(i, j, component_weights(rec))
-
-
-def total_recurrent_cayley(n: int, rec: CoeffSeq) -> int:
-    return cayley_count(n, rec.pointing())
-
-
-def total_recurrent_end(n: int, rec: CoeffSeq) -> int:
-    return endofunction_count(n, rec.pointing())
-
-
-def total_components_cayley(n: int, rec: CoeffSeq) -> int:
-    return cayley_count(n, component_weights(rec))
-
-
-def total_components_end(n: int, rec: CoeffSeq) -> int:
-    return endofunction_count(n, component_weights(rec))
-
-
-def total_cycles_over_cayley(n: int) -> int:
-    """Total number of cycles over all Cayley permutations of [n]."""
-    return total_components_cayley(n, atom("S", n))
-
-
-def total_cycles_over_end(n: int) -> int:
-    """Total number of cycles over all endofunctions of [n]."""
-    return total_components_end(n, atom("S", n))
 
 
 # -- exact identity suite -------------------------------------------------------
@@ -302,17 +258,19 @@ def asymptotics_report(nmax: int) -> list[AsymptoticsRow]:
     def cayley(rec: CoeffSeq) -> tuple[int, ...]:
         return tuple(count_sequence(rec, nmax, "cayley"))
 
-    perms, der, sets = atom("S", nmax), atom("Der", nmax), atom("E", nmax)
+    perms, sets, connected, der = (
+        recurrent_structure_for_class(name, nmax)
+        for name in ("all", "forest", "connected", "derangement")
+    )
     perm_cycles = component_weights(perms)
-    fubini, cayder = cayley(perms), cayley(der)
-    connected = cayley(atom("C", nmax))
+    fubini, cayder, one_cycle = cayley(perms), cayley(der), cayley(connected)
     cycle_averages = (
         ("avg_cycles_endofunctions",
          tuple(count_sequence(perm_cycles, nmax, "endofunctions")),
          [n**n for n in range(nmax + 1)]),
         ("avg_cycles_cayley_all", cayley(perm_cycles), fubini),
         ("avg_cycles_cayley_forest", cayley(sets.pointing()), cayley(sets)),
-        ("avg_cycles_cayley_connected", connected, connected),
+        ("avg_cycles_cayley_connected", one_cycle, one_cycle),
         ("avg_cycles_cayley_derangement", cayley(component_weights(der)), cayder),
     )
 

@@ -18,12 +18,13 @@ from recdig.bijections import (
 from recdig.cli import main as cli_main
 from recdig.digraphs import (
     bounded_arity_tree_table,
-    cayley_derangement_count,
+    cayley_count,
     digraph_count,
     digraph_table,
     digraph_table_with_branches,
     endofunction_count,
     perms_with_cycle_lengths_dividing,
+    recurrent_structure_for_class,
 )
 from recdig.series import atom
 from recdig.stirling import sdiff
@@ -105,7 +106,8 @@ def test_criterion_01_sdiff_triangles():
 
 def test_criterion_02_cayley_derangement_sequence():
     t0 = time.time()
-    got = [cayley_derangement_count(n) for n in range(12)]
+    got = [cayley_count(n, recurrent_structure_for_class("derangement", n))
+           for n in range(12)]
     assert got == CAYLEY_DERANGEMENTS
     assert time.time() - t0 < 1.0
     _report(2, t0, f"fixed-point-free Cayley counts 0..11 = {got}")
@@ -113,7 +115,9 @@ def test_criterion_02_cayley_derangement_sequence():
 
 def test_criterion_03_total_cycles_sequence():
     t0 = time.time()
-    got = [stats.total_cycles_over_cayley(n) for n in range(12)]
+    # A total of cycles is the count of the class S log S.
+    got = [cayley_count(n, stats.component_weights(atom("S", n)))
+           for n in range(12)]
     assert got == CYCLES_OVER_CAYLEY
     assert time.time() - t0 < 1.0
     _report(3, t0, "total cycles over Cayley permutations 0..11 exact")
@@ -214,15 +218,16 @@ def test_criterion_07_order_sum_identities():
 
 def test_criterion_08_recurrent_totals_over_connected():
     t0 = time.time()
+    # A total of recurrent points is the count of the pointed class.
     # Pointing kills the empty structure, so the identity is with nonempty
     # permutations: at n = 0 both totals are 0, from n = 1 on they agree
     # with the all-structure counts.
-    assert stats.total_recurrent_cayley(0, atom("C", 0)) == 0
-    assert stats.total_recurrent_end(0, atom("C", 0)) == 0
+    assert cayley_count(0, atom("C", 0).pointing()) == 0
+    assert endofunction_count(0, atom("C", 0).pointing()) == 0
     for n in range(1, 9):
-        c = atom("C", n)
-        assert stats.total_recurrent_cayley(n, c) == FUBINI[n]
-        assert stats.total_recurrent_end(n, c) == n**n
+        c = atom("C", n).pointing()
+        assert cayley_count(n, c) == FUBINI[n]
+        assert endofunction_count(n, c) == n**n
     _report(8, t0, "recurrent-point totals over connected structures equal "
                    "all-structure counts for 1 <= n <= 8")
 

@@ -436,6 +436,10 @@ def test_malformed_class_parameter_is_named(capsys):
         assert capsys.readouterr().err == (
             f"error: class {klass}: {param!r} is not an integer\n"
         )
+    # An unknown class is named before its parameter is read.
+    for text in ("bogus:x", "bogus:", "bogus:3", "bogus"):
+        assert run(["count", "--n", "3", "--class", text]) == (2, ""), text
+        assert capsys.readouterr().err == "error: unknown class 'bogus'\n", text
 
 
 def test_models_agree_across_routes():

@@ -1,4 +1,5 @@
 import io
+import random
 from itertools import product
 
 import pytest
@@ -11,11 +12,7 @@ from recdig.digraphs import (
     _branch_tail,
     _rows,
     bounded_arity_tree_table,
-    cayley_connected_count,
     cayley_count,
-    cayley_derangement_count,
-    cayley_forest_count,
-    cayley_tree_count,
     closed_form_sequence,
     count_sequence,
     digraph_count,
@@ -27,7 +24,7 @@ from recdig.digraphs import (
     perms_with_cycle_lengths_dividing,
     recurrent_structure_for_class,
 )
-from recdig.series import ShapeError, atom
+from recdig.series import CoeffSeq, ShapeError, atom
 from recdig.tables import CoeffTable, compose_table, rooted_tree_table
 
 FUBINI = (1, 1, 3, 13, 75, 541, 4683, 47293, 545835, 7087261)
@@ -120,6 +117,47 @@ def test_count_sequence_matches_closed_form():
         ), (klass, model)
 
 
+# Four kinds of recurrent counts R[0..n] that no named atom has: dense,
+# mostly zero, huge, and with several empty structures.
+_RANDOM_R = {
+    "dense": lambda rng, n: [rng.randint(0, 10**3) for _ in range(n + 1)],
+    "sparse": lambda rng, n: [
+        rng.randint(1, 10**3) if rng.random() < 0.2 else 0 for _ in range(n + 1)
+    ],
+    "huge": lambda rng, n: [rng.randint(0, 10**30) for _ in range(n + 1)],
+    "empty": lambda rng, n: [
+        rng.randint(2, 50), *(rng.randint(0, 10**3) for _ in range(n))
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", _RANDOM_R)
+def test_routes_agree_on_random_recurrent_counts(kind):
+    # The table recursion, the closed form and the composition with the
+    # rooted-tree table on three seeded R per size, in both models, and
+    # the recursion is linear in R.
+    rng = random.Random(f"random R {kind}")
+    for nmax in (5, 17, 30, 40, 90):
+        recs = [CoeffSeq(tuple(_RANDOM_R[kind](rng, nmax))) for _ in range(3)]
+        tables = []
+        if nmax <= 30:
+            trees = rooted_tree_table(nmax)
+            tables = [compose_table(r, trees) for r in recs]
+        for model in ("cayley", "endofunctions"):
+            seqs = [tuple(count_sequence(r, nmax, model)) for r in recs]
+            for i, (rec, seq) in enumerate(zip(recs, seqs)):
+                assert list(seq) == closed_form_sequence(rec, nmax, model), (
+                    nmax, model, i
+                )
+            for i, table in enumerate(tables):
+                merged = table.concat_sorts() if model == "cayley" else (
+                    table.identify_sorts()
+                )
+                assert merged.counts == seqs[i], (nmax, model, i)
+            both = tuple(count_sequence(recs[0] + recs[1], nmax, model))
+            assert both == tuple(map(int.__add__, seqs[0], seqs[1])), (nmax, model)
+
+
 def test_closed_form_point_calls_match_the_sequence():
     nmax = 12
     for label in CLASS_RECURRENT_ATOMS.values():
@@ -168,13 +206,12 @@ def test_closed_form_reads_no_point_lookup(monkeypatch):
             [endofunction_count(n, der) for n in range(10)],
             closed_form_sequence(s, 9, "cayley"),
             closed_form_sequence(der, 9, "endofunctions"),
-            [cayley_derangement_count(n) for n in range(10)],
-            stats.total_recurrent_points(3, 4, der),
-            stats.total_components(3, 4, s),
-            stats.total_recurrent_cayley(8, der),
-            stats.total_recurrent_end(8, der),
-            stats.total_components_cayley(8, s),
-            stats.total_components_end(8, der),
+            digraph_count(3, 4, der.pointing()),
+            digraph_count(3, 4, stats.component_weights(s)),
+            cayley_count(8, der.pointing()),
+            endofunction_count(8, der.pointing()),
+            cayley_count(8, stats.component_weights(s)),
+            endofunction_count(8, stats.component_weights(der)),
             [recdig.stirling.r_stirling(n, m, r)
              for n in range(8) for m in range(9) for r in range(9)],
             main(["check", "identities", "--nmax", "12"], out=out),
@@ -278,22 +315,23 @@ def test_cayley_counts():
     assert [cayley_count(n, atom("S", n)) for n in range(10)] == list(FUBINI)
     assert cayley_count(4, atom("X", 4)) == 13
     for n in range(1, 10):
-        assert cayley_tree_count(n) == FUBINI[n - 1]
+        tree = recurrent_structure_for_class("tree", n)
+        assert cayley_count(n, tree) == FUBINI[n - 1]
 
 
 def test_cayley_derangements():
-    assert [cayley_derangement_count(n) for n in range(12)] == list(CAYDER)
+    assert [
+        cayley_count(n, recurrent_structure_for_class("derangement", n))
+        for n in range(12)
+    ] == list(CAYDER)
 
 
 def test_connected_and_forest_against_oracle():
-    assert cayley_connected_count(2) == 2
-    for n in range(7):
-        assert cayley_connected_count(n) == oracle.count(
-            n, "cayley", oracle.ClassPredicate("connected")
-        )
-        assert cayley_forest_count(n) == oracle.count(
-            n, "cayley", oracle.ClassPredicate("forest")
-        )
+    assert cayley_count(2, recurrent_structure_for_class("connected", 2)) == 2
+    for n, klass in product(range(7), ("connected", "forest")):
+        assert cayley_count(n, recurrent_structure_for_class(klass, n)) == (
+            oracle.count(n, "cayley", oracle.ClassPredicate(klass))
+        ), (n, klass)
 
 
 def test_structure_sum_identities():

@@ -189,7 +189,6 @@ def test_count_table_matches_formulas():
 
 def test_count_table_by_recurrent_size_matches_formulas():
     from recdig.digraphs import digraph_count_by_recurrent
-    from recdig.stats import total_recurrent_points
 
     for n in range(8):
         table = oracle.count_table(
@@ -201,9 +200,9 @@ def test_count_table_by_recurrent_size_matches_formulas():
                 assert table.get((i, n - i, r), 0) == digraph_count_by_recurrent(
                     i, n - i, r, s
                 ), (i, n - i, r)
-            # The recurrent-point total against the oracle, not against
-            # the pointed closed form it is computed by.
-            assert total_recurrent_points(i, n - i, s) == sum(
+            # The recurrent-point total, the count of the pointed class,
+            # against the oracle's buckets.
+            assert digraph_count(i, n - i, s.pointing()) == sum(
                 r * table.get((i, n - i, r), 0) for r in range(i + 1)
             ), (i, n - i)
 
@@ -309,6 +308,9 @@ def test_class_predicate_validation():
             oracle.parse_class(text)
     with pytest.raises(ValueError):
         oracle.parse_class("forest:")  # an empty parameter is not "none"
+    for text in ("bogus:x", "bogus:", "bogus:3"):
+        with pytest.raises(ValueError, match="^unknown class 'bogus'$"):
+            oracle.parse_class(text)
     assert oracle.parse_class("idempotent:3").param == 3
     assert oracle.parse_class("forest").name == "forest"
 
@@ -468,7 +470,6 @@ def test_classify_matches_reference_on_random_maps():
         f = tuple(rng.randint(1, n) for _ in range(n))
         ref = _reference_profile(f)
         assert oracle.classify(f) == ref, f
-        assert oracle.recurrent_points(f) == ref.recurrent
         assert [p.matches(f) for p in _EVERY_CLASS] == _members_by_profile(f, ref)
 
 
@@ -488,9 +489,8 @@ def test_classify_long_chain_is_linear():
     f = _chain(20000)
     start = time.perf_counter()
     profile = oracle.classify(f)
-    recurrent = oracle.recurrent_points(f)
     assert time.perf_counter() - start < 1.0
-    assert profile.recurrent == recurrent == {1}
+    assert profile.recurrent == {1}
     assert profile.cycle_lengths == (1,)
 
 

@@ -6,8 +6,10 @@ import pytest
 from recdig import oracle
 from recdig.digraphs import (
     cayley_count,
-    cayley_derangement_count,
     digraph_count,
+    digraph_count_by_recurrent,
+    endofunction_count,
+    recurrent_structure_for_class,
 )
 from recdig.series import CoeffSeq, LogarithmDomainError, ShapeError, atom
 from recdig.stats import (
@@ -18,13 +20,6 @@ from recdig.stats import (
     decimal_string,
     identity_checks,
     ordinal_product,
-    total_components,
-    total_components_cayley,
-    total_cycles_over_cayley,
-    total_cycles_over_end,
-    total_recurrent_cayley,
-    total_recurrent_end,
-    total_recurrent_points,
 )
 from recdig.stirling import sdiff
 
@@ -46,12 +41,15 @@ def test_ordinal_product():
 
 
 def test_total_recurrent_equals_pointed_route():
+    # The count of the pointed class against the counts by recurrent size,
+    # each weighted by its size.
     for label in ("S", "E", "C", "Der"):
         rec = atom(label, 6)
         for i in range(7):
             for j in range(7 - i):
-                assert total_recurrent_points(i, j, rec) == digraph_count(
-                    i, j, rec.pointing()
+                assert digraph_count(i, j, rec.pointing()) == sum(
+                    r * digraph_count_by_recurrent(i, j, r, rec)
+                    for r in range(i + 1)
                 ), (label, i, j)
 
 
@@ -61,20 +59,20 @@ def test_total_recurrent_rejects_what_digraph_count_rejects():
         with pytest.raises(ShapeError):
             digraph_count(i, 0, rec)
         with pytest.raises(ShapeError):
-            total_recurrent_points(i, 0, rec)
+            digraph_count(i, 0, rec.pointing())
 
 
 def test_totals_reject_every_negative_index():
     rec = atom("S", 3)
-    for total in (total_recurrent_points, total_components):
+    for weighted in (rec.pointing(), component_weights(rec)):
         for i, j in ((-1, 1), (1, -1), (0, -1)):
             with pytest.raises(ShapeError):
-                total(i, j, rec)
+                digraph_count(i, j, weighted)
 
 
 def test_total_recurrent_all_points_when_no_leaves():
     s3 = atom("S_r", 5, 3)
-    assert total_recurrent_points(3, 0, s3) == 3 * s3.counts[3]
+    assert digraph_count(3, 0, s3.pointing()) == 3 * s3.counts[3]
 
 
 def test_total_recurrent_against_oracle():
@@ -83,7 +81,7 @@ def test_total_recurrent_against_oracle():
         for f in oracle.enumerate_cayley(3)
         if oracle.classify(f).internal_count == 2
     )
-    assert total_recurrent_points(2, 1, atom("S", 2)) == want
+    assert digraph_count(2, 1, atom("S", 2).pointing()) == want
 
 
 def test_recurrent_totals_over_connected_structures():
@@ -92,9 +90,9 @@ def test_recurrent_totals_over_connected_structures():
     # nothing on the empty set).
     for n in range(1, 9):
         c = atom("C", n)
-        assert total_recurrent_cayley(n, c) == cayley_count(n, atom("S", n))
-        assert total_recurrent_end(n, c) == n**n
-    assert total_recurrent_cayley(0, atom("C", 0)) == 0
+        assert cayley_count(n, c.pointing()) == cayley_count(n, atom("S", n))
+        assert endofunction_count(n, c.pointing()) == n**n
+    assert cayley_count(0, atom("C", 0).pointing()) == 0
 
 
 def test_component_weights_and_harmonic_numbers():
@@ -121,23 +119,28 @@ def test_total_components_formula_is_harmonic_weighted():
                 h = sum(Fraction(1, k) for k in range(1, r + 1))
                 acc += h * factorial(i) * sdiff(i + j, i, r)
             assert acc.denominator == 1
-            assert total_components(i, j, s) == acc
+            assert digraph_count(i, j, component_weights(s)) == acc
+
+
+def _cycle_weights(n):
+    # Cycles are the components of the class of all permutations.
+    return component_weights(atom("S", n))
 
 
 def test_cycle_totals_golden_sequence():
-    got = [total_cycles_over_cayley(n) for n in range(12)]
+    got = [cayley_count(n, _cycle_weights(n)) for n in range(12)]
     assert got == list(CYCLES_OVER_CAY)
 
 
 def test_cycle_totals_against_oracle():
     by_hand = sum(p.component_count for p in map(oracle.classify,
                                                  oracle.enumerate_cayley(2)))
-    assert by_hand == 4 == total_cycles_over_cayley(2)
+    assert by_hand == 4 == cayley_count(2, _cycle_weights(2))
     for n in range(6):
-        assert total_cycles_over_cayley(n) == sum(
+        assert cayley_count(n, _cycle_weights(n)) == sum(
             oracle.classify(f).component_count for f in oracle.enumerate_cayley(n)
         )
-        assert total_cycles_over_end(n) == sum(
+        assert endofunction_count(n, _cycle_weights(n)) == sum(
             oracle.classify(f).component_count
             for f in oracle.enumerate_endofunctions(n)
         )
@@ -151,7 +154,7 @@ def test_forest_component_totals_against_oracle():
             oracle.classify(f).component_count
             for f in filter(forest.matches, oracle.enumerate_cayley(n))
         )
-        assert total_components_cayley(n, e.truncate(n)) == want
+        assert cayley_count(n, component_weights(e.truncate(n))) == want
 
 
 def test_statistic_totals_per_class_to_n7_single_pass():
@@ -159,8 +162,6 @@ def test_statistic_totals_per_class_to_n7_single_pass():
     # enumeration sweep.  Connected-type classes (one component per
     # structure) have their component total equal to their count.
     classes = ("all", "tree", "forest", "connected", "derangement")
-    rec_names = {"all": "S", "tree": "X", "forest": "E", "connected": "C",
-                 "derangement": "Der"}
     preds = [(klass, oracle.ClassPredicate(klass)) for klass in classes]
     for n in range(8):
         rec_total = dict.fromkeys(classes, 0)
@@ -174,16 +175,15 @@ def test_statistic_totals_per_class_to_n7_single_pass():
                     comp_total[klass] += p.component_count
                     struct_total[klass] += 1
         for klass in classes:
-            rec = atom(rec_names[klass], n)
+            rec = recurrent_structure_for_class(klass, n)
             assert struct_total[klass] == cayley_count(n, rec), (klass, n)
-            assert rec_total[klass] == total_recurrent_cayley(n, rec), (klass, n)
+            assert rec_total[klass] == cayley_count(n, rec.pointing()), (klass, n)
             if klass in ("tree", "connected"):
                 assert comp_total[klass] == struct_total[klass]
             else:
-                assert comp_total[klass] == total_components_cayley(n, rec), (
-                    klass,
-                    n,
-                )
+                assert comp_total[klass] == cayley_count(
+                    n, component_weights(rec)
+                ), (klass, n)
 
 
 def test_identity_checks_all_pass():
@@ -215,7 +215,9 @@ def test_segment_expansion_reproduces_derangement_counts():
     checks = identity_checks(atom("Der", 9), 9)
     for c in checks:
         if c.identity == "segment_expansion":
-            assert c.lhs == cayley_derangement_count(c.index[0])
+            n = c.index[0]
+            der = recurrent_structure_for_class("derangement", n)
+            assert c.lhs == cayley_count(n, der)
             assert c.ok
 
 
@@ -310,5 +312,5 @@ def test_asymptotics_forest_rows_match_formulas():
     forest = {r.n: r for r in rows if r.statistic == "avg_cycles_cayley_forest"}
     for n in range(1, 9):
         e = atom("E", n)
-        assert forest[n].numerator == total_components_cayley(n, e)
+        assert forest[n].numerator == cayley_count(n, component_weights(e))
         assert forest[n].denominator == cayley_count(n, e)

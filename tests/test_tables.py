@@ -1,6 +1,6 @@
 import operator
 import random
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -94,6 +94,27 @@ def test_rooted_tree_table_is_cayley_to_40():
     assert rooted_tree_table(n).identify_sorts().counts == (0,) + tuple(
         k ** (k - 1) for k in range(1, n + 1)
     )
+
+
+def _stirling2(n, k):
+    """S2(n, k) by the explicit alternating sum over the maps onto [k]."""
+    total = sum((-1) ** (k - m) * comb(k, m) * m**n for m in range(k + 1))
+    return total // factorial(k)
+
+
+def test_rooted_tree_table_is_the_closed_table():
+    # Solving the tree equation along characteristics gives
+    # t[i][j] = i! S2(i+j-1, i), except the lone root t[1][0] = 1; a tree
+    # is a digraph whose recurrent part is one fixed point, R = X.
+    n = 29
+    t = rooted_tree_table(n)
+    assert t.rows[0] == (0,) * (n + 1) and t[1, 0] == 1
+    for i in range(1, n + 1):
+        for j in range(n + 1 - i):
+            if (i, j) != (1, 0):
+                want = factorial(i) * _stirling2(i + j - 1, i)
+                assert t[i, j] == want, (i, j)
+    assert rooted_tree_table(26) == digraph_table(atom("X", 26), 26)
 
 
 def _binary_tree_rows(nmax):
