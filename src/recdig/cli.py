@@ -29,7 +29,7 @@ are short at the sizes it is run at, where Decimal arithmetic cost more
 than the printing saved.
 
 Each command imports the modules it runs inside its handler, and the
-parser reads its class and model names from their modules only when it
+parser reads its class, R and model names from their modules only when it
 checks or lists them, so a cold start loads no route a command does not
 run.  main lifts the int -> str digit limit (Python 3.11+) for the
 command only, and an in-process caller gets its own limit and decimal
@@ -53,19 +53,21 @@ EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE, as a shell reports it
 
 
 class _Names:
-    """argparse choices: the names in a module attribute, imported only when
-    the parser checks a value against them or lists them in a message.  They
-    are set on the action that add_argument returns, because add_argument
-    itself lists the choices it is given."""
+    """argparse choices: the names in a module attribute (the keys of a dict,
+    or what view picks from it), imported only when the parser checks a value
+    against them or lists them in a message.  They are set on the action that
+    add_argument returns, because add_argument itself lists the choices it is
+    given."""
 
-    def __init__(self, module: str, attr: str):
-        self.module, self.attr = module, attr
+    def __init__(self, module: str, attr: str, view=iter):
+        self.module, self.attr, self.view = module, attr, view
 
     def __iter__(self):
-        return iter(getattr(import_module(self.module), self.attr))
+        return iter(self.view(getattr(import_module(self.module), self.attr)))
 
 
 SEQ_CLASSES = _Names("recdig.digraphs", "CLASS_RECURRENT_ATOMS")
+ATOMS = _Names("recdig.digraphs", "CLASS_RECURRENT_ATOMS", dict.values)
 MODELS = _Names("recdig.oracle", "MODELS")
 
 
@@ -136,11 +138,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--r", type=nonnegative_int, help="prefix size (sdiff)"
     )
     p_table.add_argument(
-        "--R",
-        dest="rec",
-        choices=("S", "X", "E", "C", "Der"),
-        help="recurrent structure (psi)",
-    )
+        "--R", dest="rec", help="recurrent structure (psi)"
+    ).choices = ATOMS
     p_table.add_argument("--nmax", type=nonnegative_int, required=True)
 
     p_count = sub.add_parser("count", help="brute-force counts")
@@ -216,12 +215,13 @@ def _cmd_table(args, out) -> int:
             localcontext,
         )
 
-        from recdig.digraphs import digraph_rows
+        from recdig.digraphs import CLASS_RECURRENT_ATOMS, digraph_rows
         from recdig.series import CoeffSeq, atom
 
         # Decimal seeds give Decimal cells (see the module docstring); the
         # context keeps every digit, and a rounding would raise.
-        seeds = CoeffSeq(tuple(map(Decimal, atom(args.rec or "S", args.nmax).counts)))
+        rec = atom(args.rec or CLASS_RECURRENT_ATOMS["all"], args.nmax)
+        seeds = CoeffSeq(tuple(map(Decimal, rec.counts)))
         exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
                         traps=[Inexact, Rounded])
         with localcontext(exact):

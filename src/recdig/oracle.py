@@ -345,9 +345,9 @@ def count_table(
     `count`, the class's rule decides each map from f; a map in it is keyed
     by its image size and, for "ijr", by its number of recurrent points,
     never by a classify profile.  By "ijr" each map is walked at most once:
-    a class that reads cycles walks every cycle, which also gives the
-    recurrent count, and any other class has its members walked after the
-    test.
+    a class that reads cycles walks under its own stop rule, which never
+    trips on a member, so the walk also gives the recurrent count, and any
+    other class has its members walked after the test.
     """
     ijr = by == "ijr"
     if not ijr and by != "ij":
@@ -356,7 +356,7 @@ def count_table(
     k = predicate.param
     table = {}
     for f in enumerate_maps(n, model, override_budget):
-        walk = stop is not None and (_cycles(f) if ijr else _cycles(f, stop))
+        walk = stop is not None and _cycles(f, stop)
         if rule(f, k, walk):
             i = len(set(f))
             key = (i, n - i, len((walk or _cycles(f))[0])) if ijr else (i, n - i)

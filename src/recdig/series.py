@@ -116,19 +116,13 @@ class CoeffSeq(Record, compare=("counts",)):
         """Drop the structure on the empty set, keep everything else."""
         return CoeffSeq((0,) + self.counts[1:], virtual=self.virtual)
 
-    # -- pointing, derivative, integral -----------------------------------
+    # -- pointing and integral --------------------------------------------
 
     def pointing(self) -> "CoeffSeq":
         """Distinguish one element: c[n] becomes n*c[n]."""
         return CoeffSeq(
             tuple(n * c for n, c in enumerate(self.counts)), virtual=self.virtual
         )
-
-    def derivative(self) -> "CoeffSeq":
-        """Shift down one size; the truncation drops by one."""
-        if self.truncation == 0:
-            raise ShapeError("derivative of a truncation-0 sequence is empty")
-        return CoeffSeq(self.counts[1:], virtual=self.virtual)
 
     def integral(self) -> "CoeffSeq":
         """Shift up one size (structure on a total order minus its minimum).

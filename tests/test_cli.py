@@ -360,7 +360,7 @@ def test_table_psi_prints_the_int_rows(fmt):
     from recdig.series import atom
 
     before = _decimal_settings()
-    sizes = [(rec, nmax) for rec in ("S", "X", "E", "C", "Der")
+    sizes = [(rec, nmax) for rec in CLASS_RECURRENT_ATOMS.values()
              for nmax in (0, 1, 2, 7, 60)]
     for rec, nmax in sizes + [("Der", 300)]:
         rows = digraph_rows(atom(rec, nmax), nmax)
@@ -369,6 +369,25 @@ def test_table_psi_prints_the_int_rows(fmt):
         assert run(argv) == (0, _render_cells(["i", "j", "value"], cells, fmt))
         assert _decimal_settings() == before
     assert max(len(str(c)) for _, _, c in cells) == 661
+
+
+def test_table_psi_serves_the_class_atoms(monkeypatch):
+    # --R takes its choices, and its default, from CLASS_RECURRENT_ATOMS:
+    # an R served there prints with no edit of the CLI, and no --R is the
+    # R of the class "all".
+    from recdig.digraphs import digraph_rows
+    from recdig.series import atom
+
+    psi = ["table", "psi", "--nmax", "5"]
+    assert run(psi) == run([*psi, "--R", "S"])
+    bal = ["table", "psi", "--R", "Bal", "--nmax", "2"]
+    assert run(bal) == (2, "")
+    monkeypatch.setitem(CLASS_RECURRENT_ATOMS, "ballots", "Bal")
+    rows = digraph_rows(atom("Bal", 2), 2)
+    cells = [(i, j, c) for i, row in enumerate(rows) for j, c in enumerate(row)]
+    assert run(bal) == (0, _render_cells(["i", "j", "value"], cells, "csv"))
+    monkeypatch.setitem(CLASS_RECURRENT_ATOMS, "all", "Der")
+    assert run(psi) == run([*psi, "--R", "Der"]) != run([*psi, "--R", "S"])
 
 
 def test_internal_errors_exit_4_and_mismatches_exit_1(monkeypatch, capsys):

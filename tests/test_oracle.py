@@ -210,8 +210,10 @@ def test_count_table_by_recurrent_size_matches_formulas():
 def test_count_table_by_ijr_walks_each_map_at_most_once(monkeypatch):
     walked = []
     walk = oracle._cycles
-    monkeypatch.setattr(oracle, "_cycles", lambda f: walked.append(f) or walk(f))
-    for text in ("forest", "connected", "indegree_bounded:2", "derangement"):
+    monkeypatch.setattr(
+        oracle, "_cycles", lambda f, *stop: walked.append(f) or walk(f, *stop)
+    )
+    for text in ("tree", "forest", "connected", "indegree_bounded:2", "derangement"):
         walked.clear()
         table = oracle.count_table(6, "cayley", oracle.parse_class(text), by="ijr")
         assert len(walked) == len(set(walked)) >= sum(table.values()), text
@@ -369,8 +371,9 @@ def test_matches_and_counts_read_no_profile(monkeypatch):
     # matches(f), given no profile, against membership by definition, on
     # every map of [n]: endofunctions to n = 6 and the Cayley maps of [7]
     # (smaller Cayley maps are among the endofunctions).  count_table by
-    # "ijr" below walks every cycle of each map, so it checks the classes
-    # that read cycles on a full walk.
+    # "ijr" below walks each map under its class's stop rule, which never
+    # trips on a member, so a member's recurrent count is read from a full
+    # walk.
     # The same sweep keeps reference tables by (i, j, r) to n = 6 for six
     # classes in both models; count_table and count must then give them
     # with classify refusing, the pattern of test_idempotent_class_counts.

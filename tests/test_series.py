@@ -108,12 +108,8 @@ def test_pointing():
     assert atom("1", 3).pointing().counts == (0, 0, 0, 0)
 
 
-def test_derivative_integral():
-    s = atom("S", 5)
-    assert s.derivative().integral().counts == (0, 1, 2, 6, 24)  # nonempty part
-    assert atom("X", 3).derivative().counts == (1, 0, 0)
-    with pytest.raises(ShapeError):
-        atom("1", 0).derivative()
+def test_integral():
+    assert atom("S", 4).integral().counts == (0, 1, 1, 2, 6)
     assert atom("E", 3).integral().counts == (0, 1, 1, 1)
 
 
