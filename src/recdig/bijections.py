@@ -1,29 +1,31 @@
 """Executable spine bijections between trees and functional digraphs.
 
 Every tree here is a parent map: entry v - 1 is the neighbor of v toward
-the root, None at the root.  The unisort pair maps doubly-rooted labeled
-trees (rooted at the head, with a distinguished tail) to endofunctions and
-back: the path between the two distinguished nodes (the spine, read from
-tail to head) is reinterpreted as a permutation of its own sorted label
-set by the rank rule g(u_t) = w_t, where u_1 < ... < u_s are the spine
-labels and w_1 ... w_s is the spine word; everything hanging off the spine
-is left untouched.
+the root, None at the root.  One private pair does the work.  _tree_to_map
+takes a rooted tree with a distinguished tail: the path from the tail up
+to the root (the spine, read tail first) is reinterpreted as a permutation
+of its own sorted label set by the rank rule g(u_t) = w_t, where
+u_1 < ... < u_s are the spine labels and w_1 ... w_s is the spine word;
+every node off the spine maps to its parent.  _map_to_tree inverts it: it
+links the cycles of a map back into the spine as it reads the sorted
+recurrent points u_t, whose images w_t spell the spine word.
 
-The two-sort pair does the same between rooted trees carrying one extra
-distinguished leaf and permutations of rooted trees: the spine runs from
-the extra leaf (excluded) up to the root, and cutting it turns each spine
-node into the root of its own tree.  Only the two-sort pair goes through
-the shared spine cut and link (_spine, _link); the unisort pair inlines
-both, for speed: through them its n = 6 round trips took 0.35-0.38 s, not
-0.28-0.29 s (best of 5, interleaved; 2 vCPU Xeon, Python 3.11.7).  Forests
-are checked by _roots: the oracle's _cycles took unisort from 0.31-0.34 s
-to 0.37-0.38 s and two-sort from 0.094-0.10 s to 0.12 s.  Every map is one
-pass over the structure up to sorting the spine: the unisort backward map
-links the spine into a copy of f as it reads the sorted recurrent points,
-and the forward map climbs once and writes once.  Each constructor
-validates in one pass too (one climb per node, one childless set), and
-the two-sort enumerators skip a Pruefer code with too many childless
-nodes before decoding it.
+The unisort pair is that pair between doubly-rooted labeled trees (rooted
+at the head, with a distinguished tail) and endofunctions: Joyal's spine
+map.  The two-sort pair runs it on the internal nodes of a rooted two-sort
+tree with the parent of one extra, distinguished leaf as the tail, and
+carries the other leaves along.  Its image is a two-sort functional
+digraph whose recurrent part is a permutation: a permutation of rooted
+two-sort trees, whose roots are the recurrent points.
+
+Every map is one pass over the structure up to sorting the spine.  Trees
+are checked by _root in one pass (one climb per node, one childless set):
+the oracle's _cycles took the n = 6 unisort round trips from 0.31-0.34 s to
+0.37-0.38 s and the two-sort ones from 0.094-0.10 s to 0.12 s (best of 5,
+interleaved; 2 vCPU Xeon, Python 3.11.7).  A permuted forest needs no
+climb, as the recurrent part of every map is a permutation.  The two-sort
+enumerators skip a Pruefer code with too many childless nodes before
+decoding it.
 """
 
 from __future__ import annotations
@@ -40,6 +42,81 @@ class StructureError(ValueError):
     """The input is not a well-formed tree structure."""
 
 
+# -- the spine map -------------------------------------------------------------
+
+
+def _tree_to_map(parent: Sequence[int | None], tail: int) -> tuple[int, ...]:
+    """Read the spine as a permutation of its sorted labels; hang the rest.
+
+    One climb reads the spine, and one pass writes it over a copy of the
+    parent map: every spine node is overwritten, the root included.
+    """
+    spine = [tail]
+    while (p := parent[spine[-1] - 1]) is not None:
+        spine.append(p)
+    f = list(parent)
+    for u, w in zip(sorted(spine), spine):
+        f[u - 1] = w
+    return tuple(f)
+
+
+def _map_to_tree(f: Sequence[int]) -> tuple[tuple[int | None, ...], int]:
+    """(parent, tail) of a nonempty map: its cycles cut open into a spine.
+
+    The recurrent points u_1 < ... < u_s give the spine word w_t = f(u_t);
+    the tail is w_1 and the root w_s.  The spine is linked into a copy of f
+    as the word is read.
+    """
+    points = _cycles(f)[0]
+    points.sort()
+    parent: list[int | None] = list(f)
+    tail = w = f[points[0] - 1]
+    for u in points[1:]:
+        nxt = f[u - 1]
+        parent[w - 1] = nxt
+        w = nxt
+    parent[w - 1] = None
+    return tuple(parent), tail
+
+
+def _root(parent: tuple[int | None, ...]) -> int:
+    """Check that a parent map on [n] is a tree; return its root.
+
+    Climb from every node not yet stamped until the root or a node stamped
+    by an earlier climb, which is known to reach the root; meeting the
+    climb's own stamp means a cycle.  Each node is climbed through once.
+    """
+    count = parent.count(None)
+    if not count:
+        raise StructureError("no root")
+    if count != 1:
+        raise StructureError("expected exactly one root")
+    n = len(parent)
+    for p in parent:
+        if p is not None and not 1 <= p <= n:
+            raise StructureError(f"parent {p} outside [1..{n}]")
+    up = (None, *parent)  # up[v] is the parent of v
+    stamp = [0] * (n + 1)
+    for x in range(1, n + 1):
+        if stamp[x]:
+            continue
+        v: int | None = x
+        while v is not None and not stamp[v]:
+            stamp[v] = x
+            v = up[v]
+        if v is not None and stamp[v] == x:
+            raise StructureError("parent map has a cycle")
+    return parent.index(None) + 1
+
+
+def _check_range(values: tuple, nodes: set[int], entry: str) -> None:
+    """Raise for the first value outside nodes = [1..i]; entry.format(k)
+    names entry k, as in "leaf {} parent"."""
+    if not nodes.issuperset(values):
+        k, v = next((k, v) for k, v in enumerate(values, 1) if v not in nodes)
+        raise StructureError(f"{entry.format(k)} {v} outside [1..{len(nodes)}]")
+
+
 # -- unisort: doubly-rooted trees <-> endofunctions -------------------------
 
 
@@ -52,7 +129,7 @@ class DoublyRootedTree(Record):
     __slots__ = ("parent", "tail")
 
     def __init__(self, parent: tuple[int | None, ...], tail: int):
-        _roots(parent, single_root=True)
+        _root(parent)
         if not 1 <= tail <= len(parent):
             raise StructureError("the tail must be a node of the tree")
         object.__setattr__(self, "parent", parent)
@@ -75,134 +152,42 @@ class DoublyRootedTree(Record):
         ))
 
 
-def _roots(parent: tuple[int | None, ...], single_root: bool) -> list[int]:
-    """Check that a parent map on [n] is a forest; return its roots in order.
-
-    Climb from every node not yet stamped until a root or a node stamped by
-    an earlier climb, which is known to reach a root; meeting the climb's
-    own stamp means a cycle.  Each node is climbed through once.
-    """
-    n = len(parent)
-    if single_root:
-        count = parent.count(None)
-        if not count:
-            raise StructureError("no root")
-        if count != 1:
-            raise StructureError("expected exactly one root")
-        roots = [parent.index(None) + 1]
-    else:
-        roots = [v for v, p in enumerate(parent, 1) if p is None]
-        if not roots:
-            raise StructureError("no root")
-    for p in parent:
-        if p is not None and not 1 <= p <= n:
-            raise StructureError(f"parent {p} outside [1..{n}]")
-    up = (None, *parent)  # up[v] is the parent of v
-    stamp = [0] * (n + 1)
-    for x in range(1, n + 1):
-        if stamp[x]:
-            continue
-        v: int | None = x
-        while v is not None and not stamp[v]:
-            stamp[v] = x
-            v = up[v]
-        if v is not None and stamp[v] == x:
-            raise StructureError("parent map has a cycle")
-    return roots
-
-
-def _climb(parent: Sequence[int | None], start: int) -> list[int]:
-    """The path from start up to the root: the spine word, tail first."""
-    spine = [start]
-    while (p := parent[spine[-1] - 1]) is not None:
-        spine.append(p)
-    return spine
-
-
-def _spine(parent: Sequence[int | None], start: int) -> tuple[list, list]:
-    """Cut the path from start to the root open and read it as a permutation.
-
-    Returns the parent map with every spine node made a root, and the
-    pairs (u_t, w_t) of the sorted spine labels u with the spine word w.
-    """
-    spine = _climb(parent, start)
-    cut = list(parent)
-    for w in spine:
-        cut[w - 1] = None
-    return cut, list(zip(sorted(spine), spine))
-
-
-def _link(parent: Sequence[int | None], spine: list[int]) -> tuple[int | None, ...]:
-    """Chain the spine word w_1 -> ... -> w_s into a path; w_s is the root."""
-    linked = list(parent)
-    for w, nxt in zip(spine, spine[1:]):
-        linked[w - 1] = nxt
-    linked[spine[-1] - 1] = None
-    return tuple(linked)
-
-
 def endofunction_to_tree(f: Endofunction) -> DoublyRootedTree:
-    """Cut the cycles of f open into a spine; trees hang where they were.
-
-    The recurrent points u_1 < ... < u_s give the spine word
-    w_t = f(u_t); the tail is w_1 and the head w_s.  The spine is linked
-    into a copy of f as the word is read.
-    """
+    """Cut the cycles of f open into a spine; trees hang where they were."""
     f = check_endofunction(f)
     if not f:
         raise StructureError("the empty endofunction has no tree counterpart")
-    points = _cycles(f)[0]
-    points.sort()
-    parent: list[int | None] = list(f)
-    tail = w = f[points[0] - 1]
-    for u in points[1:]:
-        nxt = f[u - 1]
-        parent[w - 1] = nxt
-        w = nxt
-    parent[w - 1] = None
-    return DoublyRootedTree(parent=tuple(parent), tail=tail)
+    parent, tail = _map_to_tree(f)
+    return DoublyRootedTree(parent=parent, tail=tail)
 
 
 def tree_to_endofunction(t: DoublyRootedTree) -> Endofunction:
-    """Read the spine as a permutation of its sorted labels; hang the rest.
+    """Read the tail-to-head spine as a permutation; hang the rest."""
+    return _tree_to_map(t.parent, t.tail)
 
-    A node off the spine maps to its parent, its neighbor toward the spine.
-    One climb reads the spine, and one pass writes it over a copy of the
-    parent map: every spine node is overwritten, the head included.
+
+# -- two-sort: pointed leaf trees <-> permuted forests -----------------------
+
+
+def _check_two_sort(
+    x_parent: tuple[int | None, ...], y_parent: tuple[int, ...]
+) -> None:
+    """Validate a two-sort tree.
+
+    Every childless internal node but the root is malformed: a node has a
+    child when it is the parent of an internal node or a leaf.  With one
+    root and no cycle, the root is childless only when it is bare (i = 1,
+    j = 0), so the check covers every node.
     """
-    spine = _climb(t.parent, t.tail)
-    f = list(t.parent)
-    for u, w in zip(sorted(spine), spine):
-        f[u - 1] = w
-    return tuple(f)
-
-
-# -- two-sort structures -----------------------------------------------------
-
-
-def _check_forest(
-    x_parent: tuple[int | None, ...],
-    y_parent: tuple[int, ...],
-    single_root: bool,
-) -> list[int]:
-    """Validate a forest of two-sort trees; return its roots in order.
-
-    Every childless internal node must be a root: a node has a child when
-    it is the parent of an internal node or a leaf.
-    """
-    roots = _roots(x_parent, single_root)
-    i = len(x_parent)
-    if y_parent and not (1 <= min(y_parent) and max(y_parent) <= i):
-        for y, p in enumerate(y_parent, 1):  # name the first bad leaf
-            if not 1 <= p <= i:
-                raise StructureError(f"leaf {y} parent {p} outside [1..{i}]")
-    bare = set(range(1, i + 1))
-    bare.difference_update(x_parent, y_parent, roots)
+    root = _root(x_parent)
+    bare = set(range(1, len(x_parent) + 1))
+    _check_range(y_parent, bare, "leaf {} parent")
+    bare.difference_update(x_parent, y_parent)
+    bare.discard(root)
     if bare:
         raise StructureError(
             f"non-root internal node {min(bare)} has no children"
         )
-    return roots
 
 
 class TwoSortTree(Record):
@@ -219,9 +204,7 @@ class TwoSortTree(Record):
     def __init__(self, x_parent: tuple[int | None, ...], y_parent: tuple[int, ...]):
         if not x_parent:
             raise StructureError("a two-sort tree needs an internal root")
-        # With one root and no cycle, the root is childless only when it
-        # is bare (i = 1, j = 0), so the forest check covers every node.
-        _check_forest(x_parent, y_parent, single_root=True)
+        _check_two_sort(x_parent, y_parent)
         object.__setattr__(self, "x_parent", x_parent)
         object.__setattr__(self, "y_parent", y_parent)
 
@@ -245,64 +228,50 @@ class PointedLeafTree(Record):
     ):
         if not 1 <= star_parent <= len(x_parent):
             raise StructureError("the extra leaf must hang from an internal node")
-        _check_forest(x_parent, (*y_parent, star_parent), single_root=True)
+        _check_two_sort(x_parent, (*y_parent, star_parent))
         object.__setattr__(self, "x_parent", x_parent)
         object.__setattr__(self, "y_parent", y_parent)
         object.__setattr__(self, "star_parent", star_parent)
 
 
 class PermutedForest(Record):
-    """A nonempty forest of two-sort trees plus a permutation of the roots.
+    """A nonempty permutation of two-sort trees, stored as its two-sort
+    functional digraph.
 
-    This is exactly a two-sort functional digraph whose recurrent part is a
-    nonempty permutation: root_image lists (root, image) pairs sorted by
-    root.  Roots may be bare (singleton trees); any other childless
-    internal node is malformed.
+    x_image[v - 1] is the image of internal node v: its parent, or, for a
+    root, its image under the root permutation; y_parent[t - 1] is the
+    parent of leaf t.  The roots are the recurrent points of x_image.  In
+    order, the checks are: at least one internal node, every image and
+    every leaf parent in [1..i], and every internal node the image of an
+    internal node or a leaf (a root is, through its cycle, so only roots
+    may be bare).
     """
 
-    __slots__ = ("x_parent", "y_parent", "root_image")
+    __slots__ = ("x_image", "y_parent")
 
-    def __init__(
-        self,
-        x_parent: tuple[int | None, ...],
-        y_parent: tuple[int, ...],
-        root_image: tuple[tuple[int, int], ...],
-    ):
-        roots = _check_forest(x_parent, y_parent, single_root=False)
-        # Valid input is a tuple whose domain is the roots in ascending
-        # order, so one comparison checks the domain and the order; a list
-        # of pairs is unsorted, as it never equals the sorted tuple of them.
-        dom = [r for r, _ in root_image]
-        if sorted(v for _, v in root_image) != roots or (
-            dom != roots and sorted(dom) != roots
-        ):
-            raise StructureError("root_image must permute the forest roots")
-        if dom != roots or not isinstance(root_image, tuple):
-            raise StructureError("root_image pairs must be sorted by root")
-        object.__setattr__(self, "x_parent", x_parent)
+    def __init__(self, x_image: tuple[int, ...], y_parent: tuple[int, ...]):
+        i = len(x_image)
+        if not i:
+            raise StructureError("a permuted forest needs an internal node")
+        bare = set(range(1, i + 1))
+        _check_range(x_image, bare, "node {} image")
+        _check_range(y_parent, bare, "leaf {} parent")
+        bare.difference_update(x_image, y_parent)
+        if bare:
+            raise StructureError(f"internal node {min(bare)} has no preimage")
+        object.__setattr__(self, "x_image", x_image)
         object.__setattr__(self, "y_parent", y_parent)
-        object.__setattr__(self, "root_image", root_image)
-
-    @property
-    def roots(self) -> tuple[int, ...]:
-        """The forest roots in ascending order: root_image's sorted domain."""
-        return tuple(r for r, _ in self.root_image)
 
 
 def pointed_tree_to_permuted_forest(t: PointedLeafTree) -> PermutedForest:
-    """Cut the spine (extra leaf to root) and read it as a permutation."""
-    x_parent, root_image = _spine(t.x_parent, t.star_parent)
-    return PermutedForest(
-        x_parent=tuple(x_parent), y_parent=t.y_parent, root_image=tuple(root_image)
-    )
+    """Read the spine (extra leaf to root) as a permutation of its nodes."""
+    return PermutedForest(_tree_to_map(t.x_parent, t.star_parent), t.y_parent)
 
 
 def permuted_forest_to_pointed_tree(p: PermutedForest) -> PointedLeafTree:
-    """Inverse of the cut: rebuild the spine from the root permutation."""
-    spine = [w for _, w in p.root_image]
-    return PointedLeafTree(
-        x_parent=_link(p.x_parent, spine), y_parent=p.y_parent, star_parent=spine[0]
-    )
+    """Cut the cycles open into the spine; the extra leaf hangs at its tail."""
+    x_parent, star_parent = _map_to_tree(p.x_image)
+    return PointedLeafTree(x_parent, p.y_parent, star_parent)
 
 
 # -- exhaustive enumeration helpers ------------------------------------------
@@ -391,20 +360,20 @@ def pointed_leaf_trees(i: int, j: int) -> Iterator[PointedLeafTree]:
 # -- DOT export ----------------------------------------------------------------
 
 
+def _dot_node(v: int, filled: bool, extra: str = "") -> str:
+    """One node line: filled nodes black with white labels, others white;
+    extra attributes go between the fill and the label colour."""
+    fill, font = ("black", ", fontcolor=white") if filled else ("white", "")
+    return f"  {v} [shape=circle, style=filled, fillcolor={fill}{extra}{font}];"
+
+
 def endofunction_dot(f: Endofunction) -> str:
     """The functional digraph in DOT: internal nodes filled, leaves white."""
     f = check_endofunction(f)
-    n = len(f)
     image = set(f)
     lines = ["digraph endofunction {"]
-    for v in range(1, n + 1):
-        fill = "black" if v in image else "white"
-        font = ", fontcolor=white" if v in image else ""
-        lines.append(
-            f'  {v} [shape=circle, style=filled, fillcolor={fill}{font}];'
-        )
-    for v in range(1, n + 1):
-        lines.append(f"  {v} -> {f[v - 1]};")
+    lines += (_dot_node(v, v in image) for v in range(1, len(f) + 1))
+    lines += (f"  {v} -> {w};" for v, w in enumerate(f, 1))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -415,14 +384,8 @@ def doubly_rooted_tree_dot(t: DoublyRootedTree, filled: set[int]) -> str:
     head = t.head
     lines = ["graph spine_tree {"]
     for v in range(1, t.n + 1):
-        fill = "black" if v in filled else "white"
-        font = ", fontcolor=white" if v in filled else ""
         peripheries = 1 + (v == t.tail) + 2 * (v == head)
-        lines.append(
-            f'  {v} [shape=circle, style=filled, fillcolor={fill}'
-            f", peripheries={peripheries}{font}];"
-        )
-    for a, b in t.edges:
-        lines.append(f"  {a} -- {b};")
+        lines.append(_dot_node(v, v in filled, f", peripheries={peripheries}"))
+    lines += (f"  {a} -- {b};" for a, b in t.edges)
     lines.append("}")
     return "\n".join(lines) + "\n"

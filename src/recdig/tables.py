@@ -51,7 +51,11 @@ class CoeffTable(Record, compare=("rows",)):
         return len(self.rows) - 1
 
     def __getitem__(self, key: tuple[int, int]) -> int:
+        """Cell (i, j); IndexError unless i, j >= 0 and i + j <= N."""
         i, j = key
+        n = len(self.rows) - 1
+        if i < 0 or j < 0 or i + j > n:
+            raise IndexError(f"cell ({i}, {j}) is outside the triangle i + j <= {n}")
         return self.rows[i][j]
 
     # -- constructors ------------------------------------------------------

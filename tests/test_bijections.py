@@ -135,9 +135,6 @@ def test_forest_cycle_is_rejected_beside_a_root():
     # The climb from 2 reaches the root; the one from 3 loops through 4.
     with pytest.raises(StructureError, match="parent map has a cycle"):
         PointedLeafTree(x_parent=(None, 1, 4, 3), y_parent=(2, 3), star_parent=4)
-    with pytest.raises(StructureError, match="parent map has a cycle"):
-        PermutedForest(x_parent=(None, 1, 1, 5, 4), y_parent=(2, 3, 4, 5),
-                       root_image=((1, 1),))
 
 
 def test_chain_pointed_leaf_tree_validates_in_linear_time():
@@ -154,16 +151,16 @@ def test_chain_pointed_leaf_tree_validates_in_linear_time():
 
 
 def test_permuted_forest_validation():
-    PermutedForest(x_parent=(None, None), y_parent=(), root_image=((1, 2), (2, 1)))
-    with pytest.raises(StructureError):
-        PermutedForest(x_parent=(None, None), y_parent=(),
-                       root_image=((1, 1), (2, 1)))  # not a permutation
-    with pytest.raises(StructureError):
-        PermutedForest(x_parent=(None, 1), y_parent=(),
-                       root_image=((1, 1),))  # node 2 childless, not a root
-    with pytest.raises(StructureError):
-        PermutedForest(x_parent=(None, None), y_parent=(),
-                       root_image=((2, 1), (1, 2)))  # pairs not sorted
+    PermutedForest(x_image=(2, 1), y_parent=())  # two bare roots, swapped
+    PermutedForest(x_image=(1, 1), y_parent=(2,))  # node 2 hangs from root 1
+    with pytest.raises(StructureError, match="internal node 2 has no preimage"):
+        PermutedForest(x_image=(1, 1), y_parent=())  # node 2 childless, not a root
+    with pytest.raises(StructureError, match="node 2 image 3 outside"):
+        PermutedForest(x_image=(1, 3), y_parent=())
+    with pytest.raises(StructureError, match="node 1 image None outside"):
+        PermutedForest(x_image=(None, 1), y_parent=(1,))  # a parent map
+    with pytest.raises(StructureError, match="leaf 1 parent 3 outside"):
+        PermutedForest(x_image=(2, 1), y_parent=(3,))
 
 
 def test_forward_on_the_worked_two_sort_example():
@@ -174,9 +171,9 @@ def test_forward_on_the_worked_two_sort_example():
         star_parent=5,
     )
     p = pointed_tree_to_permuted_forest(t)
-    assert dict(p.root_image) == {2: 5, 3: 2, 4: 4, 5: 3}
-    assert set(p.roots) == {2, 3, 4, 5}
-    assert p.x_parent == (5, None, None, None, None)
+    # Node 1 keeps its parent 5; the roots 2..5 are permuted (2 5 3)(4).
+    assert p.x_image == (5, 5, 2, 4, 3)
+    assert oracle.classify(p.x_image).recurrent == {2, 3, 4, 5}
     assert p.y_parent == t.y_parent
     assert permuted_forest_to_pointed_tree(p) == t
 
@@ -184,7 +181,7 @@ def test_forward_on_the_worked_two_sort_example():
 def test_smallest_two_sort_case():
     t = PointedLeafTree(x_parent=(None,), y_parent=(), star_parent=1)
     p = pointed_tree_to_permuted_forest(t)
-    assert p.root_image == ((1, 1),)
+    assert p.x_image == (1,)
     assert permuted_forest_to_pointed_tree(p) == t
 
 
@@ -198,6 +195,22 @@ def test_two_sort_bijection_exhaustive_small():
                 assert permuted_forest_to_pointed_tree(p) == t
                 outputs.add(p)
             assert len(outputs) == digraph_count(i, j, splus), (i, j)
+
+
+def test_two_sort_pair_is_the_unisort_spine_map_on_internal_nodes():
+    # The two-sort pair reads the tree under its internal nodes as a
+    # doubly-rooted tree with the extra leaf's parent as the tail; both
+    # directions must agree with the unisort pair on it.
+    for i in range(1, 7):
+        for j in range(7 - i):
+            for t in pointed_leaf_trees(i, j):
+                p = pointed_tree_to_permuted_forest(t)
+                d = DoublyRootedTree(t.x_parent, t.star_parent)
+                assert p.x_image == tree_to_endofunction(d), t
+                back = permuted_forest_to_pointed_tree(p)
+                assert endofunction_to_tree(p.x_image) == DoublyRootedTree(
+                    back.x_parent, back.star_parent
+                ), t
 
 
 def test_pointed_leaf_trees_are_two_sort_trees_with_a_last_leaf():
@@ -217,13 +230,13 @@ def test_pointed_leaf_trees_are_two_sort_trees_with_a_last_leaf():
 def test_sort_preservation():
     for t in pointed_leaf_trees(3, 2):
         p = pointed_tree_to_permuted_forest(t)
-        assert len(p.x_parent) == len(t.x_parent)
+        assert len(p.x_image) == len(t.x_parent)
         assert p.y_parent == t.y_parent  # leaves stay leaves, parents intact
 
 
 def test_empty_forest_rejected():
     with pytest.raises(StructureError):
-        PermutedForest(x_parent=(), y_parent=(), root_image=())
+        PermutedForest(x_image=(), y_parent=())
 
 
 def test_dot_exports():
@@ -302,6 +315,6 @@ def test_two_sort_round_trip_random_large():
         spine = [t.star_parent]
         while t.x_parent[spine[-1] - 1] is not None:
             spine.append(t.x_parent[spine[-1] - 1])
-        assert set(p.roots) == set(spine)
+        assert oracle.classify(p.x_image).recurrent == set(spine)
         assert p.y_parent == t.y_parent
         assert permuted_forest_to_pointed_tree(p) == t

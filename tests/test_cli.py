@@ -490,11 +490,16 @@ def test_models_agree_across_routes():
         assert model.default in models
 
 
+def _joyal_golden(ext):
+    return (Path(__file__).parent / "golden" / f"joyal_fig1.{ext}").read_bytes()
+
+
 def test_joyal_text_output():
     rc, out = run(["joyal", "--n", "15", "--input", "985776326459548"])
     assert rc == 0
     assert "spine: 8,5,7,6,3,2" in out
     assert "tail: 8" in out and "head: 2" in out
+    assert out.encode() == _joyal_golden("txt")
 
 
 def test_joyal_comma_separated_input():
@@ -511,6 +516,7 @@ def test_joyal_dot_export():
     assert out.count("digraph") == 1
     assert "\ngraph " in out
     assert "->" in out and "--" in out
+    assert out.encode() == _joyal_golden("dot")
 
 
 def test_check_identities():

@@ -31,13 +31,13 @@ class Reject(Exception):
     pass
 
 
-def _forest_roots(parent, single_root):
-    """The roots of a forest given as a parent map, checked by definition."""
+def _tree_root(parent):
+    """The root of a tree given as a parent map, checked by definition."""
     n = len(parent)
     roots = [v for v, p in enumerate(parent, 1) if p is None]
     if not roots:
         raise Reject("no root")
-    if single_root and len(roots) != 1:
+    if len(roots) != 1:
         raise Reject("expected exactly one root")
     for p in parent:
         if p is not None and not 1 <= p <= n:
@@ -49,24 +49,27 @@ def _forest_roots(parent, single_root):
             v = parent[v - 1]
         else:
             raise Reject("parent map has a cycle")
-    return roots
+    return roots[0]
 
 
-def _two_sort_forest_roots(x_parent, y_parent, single_root):
-    roots = _forest_roots(x_parent, single_root)
-    i = len(x_parent)
+def _leaf_parents(y_parent, i):
     for y, p in enumerate(y_parent, 1):
         if not 1 <= p <= i:
             raise Reject(f"leaf {y} parent {p} outside [1..{i}]")
+
+
+def _two_sort_tree(x_parent, y_parent):
+    root = _tree_root(x_parent)
+    i = len(x_parent)
+    _leaf_parents(y_parent, i)
     with_child = set(x_parent) | set(y_parent)
-    bare = [v for v in range(1, i + 1) if v not in with_child and v not in roots]
+    bare = [v for v in range(1, i + 1) if v not in with_child and v != root]
     if bare:
         raise Reject(f"non-root internal node {bare[0]} has no children")
-    return roots
 
 
 def _doubly_rooted(parent, tail):
-    _forest_roots(parent, True)
+    _tree_root(parent)
     if not 1 <= tail <= len(parent):
         raise Reject("the tail must be a node of the tree")
 
@@ -74,22 +77,26 @@ def _doubly_rooted(parent, tail):
 def _two_sort(x_parent, y_parent):
     if not x_parent:
         raise Reject("a two-sort tree needs an internal root")
-    _two_sort_forest_roots(x_parent, y_parent, True)
+    _two_sort_tree(x_parent, y_parent)
 
 
 def _pointed(x_parent, y_parent, star_parent):
     if not 1 <= star_parent <= len(x_parent):
         raise Reject("the extra leaf must hang from an internal node")
-    _two_sort_forest_roots(x_parent, (*y_parent, star_parent), True)
+    _two_sort_tree(x_parent, (*y_parent, star_parent))
 
 
-def _permuted(x_parent, y_parent, root_image):
-    roots = _two_sort_forest_roots(x_parent, y_parent, False)
-    if (sorted(r for r, _ in root_image) != roots
-            or sorted(v for _, v in root_image) != roots):
-        raise Reject("root_image must permute the forest roots")
-    if root_image != tuple(sorted(root_image)):
-        raise Reject("root_image pairs must be sorted by root")
+def _permuted(x_image, y_parent):
+    i = len(x_image)
+    if not i:
+        raise Reject("a permuted forest needs an internal node")
+    for x, v in enumerate(x_image, 1):
+        if v is None or not 1 <= v <= i:
+            raise Reject(f"node {x} image {v} outside [1..{i}]")
+    _leaf_parents(y_parent, i)
+    for v in range(1, i + 1):
+        if v not in x_image and v not in y_parent:
+            raise Reject(f"internal node {v} has no preimage")
 
 
 def _agree(cls, reference, *args):
@@ -136,33 +143,14 @@ def test_pointed_leaf_tree_checks_match_the_definition():
                         _agree(PointedLeafTree, _pointed, x_parent, y_parent, star)
 
 
-def _root_images(roots):
-    """Root images for a forest with these roots: valid, unsorted, not a
-    permutation of the roots, missing or extra pairs, and a list."""
-    ident = tuple((r, r) for r in roots)
-    return [
-        (), ident, ident[::-1], ident[1:], ident + ((1, 1),), list(ident),
-        tuple(zip(roots, roots[1:] + roots[:1])),
-        tuple(zip(roots[::-1], roots)),
-        tuple((r, roots[0]) for r in roots) if roots else ((1, 1),),
-    ]
-
-
 def test_permuted_forest_checks_match_the_definition():
+    # Images over {None, 0..i+1}: parent maps (with None roots), bad
+    # images, and every map on [i], with and without childless nodes.
     for i in range(5):
-        for x_parent in _parent_maps(i):
-            roots = [v for v, p in enumerate(x_parent, 1) if p is None]
-            for y_parent in product(range(i + 2), repeat=1 if i < 4 else 0):
-                for root_image in _root_images(roots):
-                    _agree(PermutedForest, _permuted, x_parent, y_parent, root_image)
-    # Every root image of up to three pairs over 0..3, on forests with one
-    # to three roots.
-    forests = [((None,), ()), ((None, None), ()), ((None, None, None), ()),
-               ((None, 1, None), (2,)), ((2, None, None), (1,))]
-    for x_parent, y_parent in forests:
-        for k in range(4):
-            for root_image in product(product(range(4), repeat=2), repeat=k):
-                _agree(PermutedForest, _permuted, x_parent, y_parent, root_image)
+        for x_image in _parent_maps(i):
+            for j in range(3 if i < 4 else 2):
+                for y_parent in product(range(i + 2), repeat=j):
+                    _agree(PermutedForest, _permuted, x_image, y_parent)
 
 
 @pytest.mark.parametrize("stop", [(1, 1), (maxsize, 1), (1, maxsize), (2, 2)])

@@ -26,7 +26,7 @@ SAMPLES = {
     DoublyRootedTree: ((None, 1, 1), 3),
     TwoSortTree: ((None, 1), (2,)),
     PointedLeafTree: ((None,), (1, 1), 1),
-    PermutedForest: ((None, None), (1,), ((1, 2), (2, 1))),
+    PermutedForest: ((2, 1), (1,)),
     IdentityCheck: ("ballot", (1, 2), 7, 7),
     AsymptoticsRow: ("cycles", 3, 17, 6, "2.8333333333", "1.2"),
 }
@@ -78,7 +78,11 @@ def test_records_of_different_classes_are_unequal():
     # nor to a record of another class holding the same field values.
     for cls, args in SAMPLES.items():
         assert sample(cls) != args
-    assert TwoSortTree((None,), ()) != PermutedForest((None,), (), ((1, 1),))
+
+    class Renamed(PermutedForest):
+        pass
+
+    assert Renamed((1,), ()) != PermutedForest((1,), ())
     assert CoeffSeq((1,)) != CoeffTable(((1,),))
 
 
@@ -142,10 +146,10 @@ def test_restored_virtual_flag_survives():
          "non-root internal node 2 has no children"),
         (lambda: PointedLeafTree((None,), (), 2), StructureError,
          "the extra leaf must hang from an internal node"),
-        (lambda: PermutedForest((None,), (), ((1, 2),)), StructureError,
-         "root_image must permute the forest roots"),
-        (lambda: PermutedForest((None, None), (), ((2, 2), (1, 1))),
-         StructureError, "root_image pairs must be sorted by root"),
+        (lambda: PermutedForest((2,), ()), StructureError,
+         "node 1 image 2 outside [1..1]"),
+        (lambda: PermutedForest((1, 1), ()), StructureError,
+         "internal node 2 has no preimage"),
         (lambda: IdentityCheck("x", (1,), 2), TypeError,
          "IdentityCheck.__init__() missing 1 required positional argument: "
          "'rhs'"),
@@ -174,7 +178,5 @@ def test_keyword_construction_and_defaults():
     assert CoeffSeq(counts=(1,)).virtual is False
     assert CoeffTable(rows=((1,),)).virtual is False
     assert ClassPredicate(name="forest").param is None
-    assert PermutedForest(
-        x_parent=(None,), y_parent=(), root_image=((1, 1),)
-    ).roots == (1,)
+    assert PermutedForest(x_image=(1,), y_parent=()).x_image == (1,)
     assert IdentityCheck(identity="i", index=(), lhs=1, rhs=2).ok is False

@@ -31,6 +31,17 @@ def test_shape_validation():
     CoeffTable(((0, -1), (0,)), virtual=True)
 
 
+def test_cells_outside_the_triangle_raise():
+    c = digraph_table(atom("C", 6), 6)
+    assert c[6, 0] == 120 and c[0, 6] == 0 and c[4, 2] > 0
+    for i, j in ((-1, 0), (0, -1), (7, 0), (0, 7), (3, 4), (-1, 7)):
+        with pytest.raises(IndexError) as info:
+            c[i, j]
+        assert str(info.value) == (
+            f"cell ({i}, {j}) is outside the triangle i + j <= 6"
+        )
+
+
 def _x_only(seq):
     """A unisort class as a table whose labels are all of sort X."""
     n = seq.truncation
