@@ -132,8 +132,7 @@ class DoublyRootedTree(Record):
         _root(parent)
         if not 1 <= tail <= len(parent):
             raise StructureError("the tail must be a node of the tree")
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "tail", tail)
+        self._store(parent, tail)
 
     @property
     def n(self) -> int:
@@ -205,8 +204,7 @@ class TwoSortTree(Record):
         if not x_parent:
             raise StructureError("a two-sort tree needs an internal root")
         _check_two_sort(x_parent, y_parent)
-        object.__setattr__(self, "x_parent", x_parent)
-        object.__setattr__(self, "y_parent", y_parent)
+        self._store(x_parent, y_parent)
 
 
 class PointedLeafTree(Record):
@@ -229,9 +227,7 @@ class PointedLeafTree(Record):
         if not 1 <= star_parent <= len(x_parent):
             raise StructureError("the extra leaf must hang from an internal node")
         _check_two_sort(x_parent, (*y_parent, star_parent))
-        object.__setattr__(self, "x_parent", x_parent)
-        object.__setattr__(self, "y_parent", y_parent)
-        object.__setattr__(self, "star_parent", star_parent)
+        self._store(x_parent, y_parent, star_parent)
 
 
 class PermutedForest(Record):
@@ -259,8 +255,7 @@ class PermutedForest(Record):
         bare.difference_update(x_image, y_parent)
         if bare:
             raise StructureError(f"internal node {min(bare)} has no preimage")
-        object.__setattr__(self, "x_image", x_image)
-        object.__setattr__(self, "y_parent", y_parent)
+        self._store(x_image, y_parent)
 
 
 def pointed_tree_to_permuted_forest(t: PointedLeafTree) -> PermutedForest:
@@ -351,6 +346,8 @@ def pointed_leaf_trees(i: int, j: int) -> Iterator[PointedLeafTree]:
 
     The extra leaf is the last leaf of a two-sort tree on [i], [j + 1].
     """
+    if j < 0:
+        return
     for skeleton, attach in _two_sort_shapes(i, j + 1):
         yield PointedLeafTree(
             x_parent=skeleton, y_parent=attach[:-1], star_parent=attach[-1]

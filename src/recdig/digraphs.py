@@ -159,9 +159,7 @@ def digraph_table(rec: CoeffSeq, nmax: int) -> CoeffTable:
     """The full table on i + j <= nmax, stored row by row from digraph_rows."""
     from recdig.tables import CoeffTable
 
-    return CoeffTable(
-        tuple(tuple(row) for row in digraph_rows(rec, nmax)), virtual=rec.virtual
-    )
+    return CoeffTable(digraph_rows(rec, nmax), virtual=rec.virtual)
 
 
 def count_sequence(rec: CoeffSeq, nmax: int, model: str) -> Iterator[int]:
@@ -331,7 +329,7 @@ def digraph_table_with_branches(
     from recdig.tables import CoeffTable
 
     rows = _rows(rec.counts, *_branch_tail(branch.counts, nmax), nmax)
-    return CoeffTable(tuple(map(tuple, rows)), virtual=rec.virtual or branch.virtual)
+    return CoeffTable(rows, virtual=rec.virtual or branch.virtual)
 
 
 def bounded_arity_tree_table(k: int, nmax: int) -> CoeffTable:

@@ -275,7 +275,11 @@ CLASSES = {
 
 
 class ClassPredicate(Record):
-    """A named digraph class, with the k of idempotent:k or indegree_bounded:k."""
+    """A named digraph class, with the k of idempotent:k or indegree_bounded:k.
+
+    k must be an int (not a bool) at least the class's least parameter;
+    anything else raises ValueError.
+    """
 
     __slots__ = ("name", "param")
 
@@ -286,10 +290,9 @@ class ClassPredicate(Record):
         if least is None:
             if param is not None:
                 raise ValueError(f"class {name} takes no parameter")
-        elif param is None or param < least:
+        elif type(param) is not int or param < least:
             raise ValueError(f"{name} class needs a parameter k >= {least}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "param", param)
+        self._store(name, param)
 
     def matches(self, f: Endofunction, profile=None) -> bool:
         """Whether f is in the class, decided from f alone by the class's

@@ -61,8 +61,7 @@ class CoeffSeq(Record, compare=("counts",)):
             raise ShapeError("a sequence needs at least the size-0 count")
         if not virtual and min(counts) < 0:
             raise ValueError(f"negative count in concrete sequence: {counts}")
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "virtual", virtual)
+        self._store(counts, virtual)
 
     @property
     def truncation(self) -> int:
@@ -157,7 +156,7 @@ class CoeffSeq(Record, compare=("counts",)):
                 _binomial_dot(row, dg, u, n)
                 for n, row in enumerate(binom[: big - m])
             ]
-        return CoeffSeq(tuple(u), virtual=self.virtual or inner.virtual)
+        return CoeffSeq(u, virtual=self.virtual or inner.virtual)
 
     def log(self) -> "CoeffSeq":
         """The sequence g with E(g) equal to self; tagged virtual.
@@ -285,4 +284,4 @@ def atom(name: str, nmax: int, param: int | None = None) -> CoeffSeq:
     else:
         raise UnsupportedAtomError(f"unknown atom {name!r}")
 
-    return CoeffSeq(tuple(counts))
+    return CoeffSeq(counts)

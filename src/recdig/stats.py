@@ -59,7 +59,7 @@ def ordinal_product(a: CoeffSeq, b: CoeffSeq) -> CoeffSeq:
     for k, x in enumerate(a.counts):
         if x:  # row k of the product: x * b, shifted by k
             counts[k:] = map(add, counts[k:], map(mul, repeat(x), b.counts))
-    return CoeffSeq(tuple(counts), virtual=a.virtual or b.virtual)
+    return CoeffSeq(counts, virtual=a.virtual or b.virtual)
 
 
 # -- statistic totals ---------------------------------------------------------
@@ -80,12 +80,6 @@ def component_weights(rec: CoeffSeq) -> CoeffSeq:
 
 class IdentityCheck(Record):
     __slots__ = ("identity", "index", "lhs", "rhs")
-
-    def __init__(self, identity: str, index: tuple[int, ...], lhs: int, rhs: int):
-        object.__setattr__(self, "identity", identity)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
 
     @property
     def ok(self) -> bool:
@@ -199,22 +193,6 @@ class AsymptoticsRow(Record):
     __slots__ = (
         "statistic", "n", "numerator", "denominator", "ratio", "reference"
     )
-
-    def __init__(
-        self,
-        statistic: str,
-        n: int,
-        numerator: int,
-        denominator: int,
-        ratio: str,
-        reference: str,
-    ):
-        object.__setattr__(self, "statistic", statistic)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "ratio", ratio)
-        object.__setattr__(self, "reference", reference)
 
 
 def decimal_string(num: int, den: int) -> str:

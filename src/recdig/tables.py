@@ -27,12 +27,15 @@ from recdig.series import (
 class CoeffTable(Record, compare=("rows",)):
     """Triangular table rows[i][j] = |F[i, j]| for i + j <= N.
 
-    Equality and hashing look at the rows only, not at ``virtual``.
+    Equality and hashing look at the rows only, not at ``virtual``.  The
+    rows may come as any iterable of rows; they are stored as a tuple of
+    tuples.
     """
 
     __slots__ = ("rows", "virtual")
 
-    def __init__(self, rows: tuple[tuple[int, ...], ...], virtual: bool = False):
+    def __init__(self, rows: Iterable[Iterable[int]], virtual: bool = False):
+        rows = tuple(map(tuple, rows))
         n = len(rows) - 1
         if n < 0:
             raise ShapeError("a table needs at least the (0, 0) cell")
@@ -43,8 +46,7 @@ class CoeffTable(Record, compare=("rows",)):
                 )
         if not virtual and min(map(min, rows)) < 0:
             raise ValueError("negative count in concrete table")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "virtual", virtual)
+        self._store(rows, virtual)
 
     @property
     def truncation(self) -> int:
@@ -220,8 +222,7 @@ def _identify_block(
 def _table(n: int, cell, virtual: bool = False) -> CoeffTable:
     """The table with cell(i, j) at each (i, j), i + j <= n: the one builder."""
     return CoeffTable(
-        tuple(tuple(cell(i, j) for j in range(n + 1 - i)) for i in range(n + 1)),
-        virtual,
+        ((cell(i, j) for j in range(n + 1 - i)) for i in range(n + 1)), virtual
     )
 
 
@@ -373,9 +374,7 @@ def compose_table(outer: CoeffSeq, inner: CoeffTable) -> CoeffTable:
     for d in range(1, big + 1):
         _fill_degree(us, tail, g, binom, d)
 
-    return CoeffTable(
-        tuple(tuple(row) for row in us[0]), virtual=outer.virtual or inner.virtual
-    )
+    return CoeffTable(us[0], virtual=outer.virtual or inner.virtual)
 
 
 def solve_tree_equation(branching: CoeffSeq, nmax: int) -> CoeffTable:
@@ -414,7 +413,7 @@ def solve_tree_equation(branching: CoeffSeq, nmax: int) -> CoeffTable:
         if d < nmax:
             _fill_degree(us, tail, g, binom, d)
 
-    tree = CoeffTable(tuple(tuple(row) for row in t))
+    tree = CoeffTable(t)
     x1 = CoeffTable.x_singleton(nmax)
     again = compose_table(b, tree - x1 + CoeffTable.y_singleton(nmax)).rows
     if any(

@@ -227,6 +227,13 @@ def test_pointed_leaf_trees_are_two_sort_trees_with_a_last_leaf():
             assert list(pointed_leaf_trees(i, j)) == split, (i, j)
 
 
+def test_negative_leaf_counts_yield_nothing():
+    for i in range(4):
+        for j in (-1, -2):
+            assert list(two_sort_trees(i, j)) == [], (i, j)
+            assert list(pointed_leaf_trees(i, j)) == [], (i, j)
+
+
 def test_sort_preservation():
     for t in pointed_leaf_trees(3, 2):
         p = pointed_tree_to_permuted_forest(t)

@@ -317,6 +317,18 @@ def test_class_predicate_validation():
     assert oracle.parse_class("forest").name == "forest"
 
 
+def test_class_parameters_must_be_ints():
+    # A float, bool or string k used to build, then count raised TypeError
+    # or (indegree_bounded:1.5) counted silently.
+    for name in ("idempotent", "indegree_bounded"):
+        least = oracle.CLASSES[name][0]
+        for param in (2.5, 1.5, float(least), True, False, "3", None):
+            with pytest.raises(ValueError) as info:
+                oracle.ClassPredicate(name, param)
+            assert str(info.value) == f"{name} class needs a parameter k >= {least}"
+        assert oracle.ClassPredicate(name, least).param == least
+
+
 def test_idempotent_class_counts(monkeypatch):
     # The class reads no profile, so counting it classifies no map.
     monkeypatch.setattr(oracle, "classify", None)

@@ -86,6 +86,39 @@ def test_records_of_different_classes_are_unequal():
     assert CoeffSeq((1,)) != CoeffTable(((1,),))
 
 
+def _listed(value):
+    """value with every tuple in it, nested ones too, made a list."""
+    if isinstance(value, tuple):
+        return [_listed(item) for item in value]
+    return value
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_list_fields_are_stored_as_tuples(cls):
+    args = tuple(map(_listed, SAMPLES[cls]))
+    record = cls(*args)
+    assert record == sample(cls)
+    assert hash(record) == hash(sample(cls))
+    assert repr(record) == repr(sample(cls))
+    for name in cls.__slots__:
+        assert type(getattr(record, name)) is type(getattr(sample(cls), name))
+
+
+def test_records_with_nothing_to_check_get_a_generated_constructor():
+    for cls in (IdentityCheck, AsymptoticsRow):
+        assert cls.__init__.__code__.co_filename == "<string>"
+        assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
+        assert cls.__init__.__code__.co_varnames[1:] == cls.__slots__
+
+    class Checked(PermutedForest):
+        pass
+
+    # A subclass keeps the checks of the constructor it inherits.
+    assert Checked.__init__ is PermutedForest.__init__
+    with pytest.raises(StructureError):
+        Checked((2,), ())
+
+
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
 def test_pickle_and_deepcopy_rerun_the_constructor(cls, monkeypatch):
     record = sample(cls)
