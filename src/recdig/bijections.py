@@ -18,6 +18,10 @@ carries the other leaves along.  Its image is a two-sort functional
 digraph whose recurrent part is a permutation: a permutation of rooted
 two-sort trees, whose roots are the recurrent points.
 
+Every parent, image, tail and leaf parent must be a label of [1..n] by the
+one rule stated in `recdig.oracle` (an int, so never a bool or a float);
+each constructor raises StructureError for the first entry that is not.
+
 Every map is one pass over the structure up to sorting the spine.  Trees
 are checked by _root in one pass (one climb per node, one childless set):
 the oracle's _cycles took the n = 6 unisort round trips from 0.31-0.34 s to
@@ -35,7 +39,7 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from recdig._record import Record
-from recdig.oracle import Endofunction, _cycles, check_endofunction
+from recdig.oracle import Endofunction, _bad_label, _cycles, check_endofunction
 
 
 class StructureError(ValueError):
@@ -92,9 +96,9 @@ def _root(parent: tuple[int | None, ...]) -> int:
     if count != 1:
         raise StructureError("expected exactly one root")
     n = len(parent)
-    for p in parent:
-        if p is not None and not 1 <= p <= n:
-            raise StructureError(f"parent {p} outside [1..{n}]")
+    root = parent.index(None)
+    if bad := _bad_label(parent[:root] + parent[root + 1:], n):
+        raise StructureError(f"parent {bad[1]} outside [1..{n}]")
     up = (None, *parent)  # up[v] is the parent of v
     stamp = [0] * (n + 1)
     for x in range(1, n + 1):
@@ -106,15 +110,7 @@ def _root(parent: tuple[int | None, ...]) -> int:
             v = up[v]
         if v is not None and stamp[v] == x:
             raise StructureError("parent map has a cycle")
-    return parent.index(None) + 1
-
-
-def _check_range(values: tuple, nodes: set[int], entry: str) -> None:
-    """Raise for the first value outside nodes = [1..i]; entry.format(k)
-    names entry k, as in "leaf {} parent"."""
-    if not nodes.issuperset(values):
-        k, v = next((k, v) for k, v in enumerate(values, 1) if v not in nodes)
-        raise StructureError(f"{entry.format(k)} {v} outside [1..{len(nodes)}]")
+    return root + 1
 
 
 # -- unisort: doubly-rooted trees <-> endofunctions -------------------------
@@ -130,7 +126,7 @@ class DoublyRootedTree(Record):
 
     def __init__(self, parent: tuple[int | None, ...], tail: int):
         _root(parent)
-        if not 1 <= tail <= len(parent):
+        if _bad_label((tail,), len(parent)):
             raise StructureError("the tail must be a node of the tree")
         self._store(parent, tail)
 
@@ -179,8 +175,10 @@ def _check_two_sort(
     j = 0), so the check covers every node.
     """
     root = _root(x_parent)
-    bare = set(range(1, len(x_parent) + 1))
-    _check_range(y_parent, bare, "leaf {} parent")
+    i = len(x_parent)
+    if bad := _bad_label(y_parent, i):
+        raise StructureError(f"leaf {bad[0]} parent {bad[1]} outside [1..{i}]")
+    bare = set(range(1, i + 1))
     bare.difference_update(x_parent, y_parent)
     bare.discard(root)
     if bare:
@@ -224,7 +222,7 @@ class PointedLeafTree(Record):
         y_parent: tuple[int, ...],
         star_parent: int,
     ):
-        if not 1 <= star_parent <= len(x_parent):
+        if _bad_label((star_parent,), len(x_parent)):
             raise StructureError("the extra leaf must hang from an internal node")
         _check_two_sort(x_parent, (*y_parent, star_parent))
         self._store(x_parent, y_parent, star_parent)
@@ -249,9 +247,11 @@ class PermutedForest(Record):
         i = len(x_image)
         if not i:
             raise StructureError("a permuted forest needs an internal node")
+        if bad := _bad_label(x_image, i):
+            raise StructureError(f"node {bad[0]} image {bad[1]} outside [1..{i}]")
+        if bad := _bad_label(y_parent, i):
+            raise StructureError(f"leaf {bad[0]} parent {bad[1]} outside [1..{i}]")
         bare = set(range(1, i + 1))
-        _check_range(x_image, bare, "node {} image")
-        _check_range(y_parent, bare, "leaf {} parent")
         bare.difference_update(x_image, y_parent)
         if bare:
             raise StructureError(f"internal node {min(bare)} has no preimage")

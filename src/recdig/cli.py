@@ -221,7 +221,7 @@ def _cmd_table(args, out) -> int:
         # Decimal seeds give Decimal cells (see the module docstring); the
         # context keeps every digit, and a rounding would raise.
         rec = atom(args.rec or CLASS_RECURRENT_ATOMS["all"], args.nmax)
-        seeds = CoeffSeq(tuple(map(Decimal, rec.counts)))
+        seeds = CoeffSeq(map(Decimal, rec.counts))
         exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
                         traps=[Inexact, Rounded])
         with localcontext(exact):

@@ -8,16 +8,21 @@ binomial convolution, substitution and logarithm are computed by
 division-free recurrences so every intermediate stays an integer.  All
 three are binomial convolutions, summed by _binomial_dot over pascal_rows.
 
-Sequences that can carry negative entries (logarithms, formal inverses,
-differences) are first class but must be tagged ``virtual``.
+A CoeffSeq takes its counts as any iterable (a tuple, a list, a range, a
+map or a generator) and stores them as a tuple, so equal counts give equal
+sequences with equal hashes however they were passed.  The counts are
+exact numbers: ints everywhere in recdig, or Decimals where the CLI seeds
+the digraph row kernel, which is generic in its number type.  Sequences
+that can carry negative entries (logarithms, formal inverses, differences)
+are first class but must be tagged ``virtual``.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, islice
 from math import factorial
-from operator import add, mul
-from typing import Iterator
+from operator import add, mul, sub
+from typing import Iterable, Iterator
 
 from recdig._record import Record
 
@@ -56,7 +61,8 @@ class CoeffSeq(Record, compare=("counts",)):
 
     __slots__ = ("counts", "virtual")
 
-    def __init__(self, counts: tuple[int, ...], virtual: bool = False):
+    def __init__(self, counts: Iterable[int], virtual: bool = False):
+        counts = tuple(counts)
         if not counts:
             raise ShapeError("a sequence needs at least the size-0 count")
         if not virtual and min(counts) < 0:
@@ -71,23 +77,19 @@ class CoeffSeq(Record, compare=("counts",)):
 
     def __add__(self, other: "CoeffSeq") -> "CoeffSeq":
         same_truncation(self, other, "sum")
-        return CoeffSeq(
-            tuple(a + b for a, b in zip(self.counts, other.counts)),
-            virtual=self.virtual or other.virtual,
-        )
+        counts = map(add, self.counts, other.counts)
+        return CoeffSeq(counts, virtual=self.virtual or other.virtual)
 
     def __sub__(self, other: "CoeffSeq") -> "CoeffSeq":
         same_truncation(self, other, "difference")
-        return CoeffSeq(
-            tuple(a - b for a, b in zip(self.counts, other.counts)), virtual=True
-        )
+        return CoeffSeq(map(sub, self.counts, other.counts), virtual=True)
 
     def __mul__(self, other: "CoeffSeq") -> "CoeffSeq":
         """Labeled product: binomial convolution of the counts,
         c[n] = sum_k binom(n, k) * a[k] * b[n-k], row n of pascal_rows."""
         same_truncation(self, other, "product")
         a, b = self.counts, other.counts
-        counts = tuple(
+        counts = (
             _binomial_dot(row, a, b, n)
             for n, row in enumerate(pascal_rows(len(a) - 1))
         )
@@ -106,9 +108,7 @@ class CoeffSeq(Record, compare=("counts",)):
         """Keep only the structures of size exactly n."""
         if n < 0:
             raise ShapeError("restriction size must be nonnegative")
-        counts = tuple(
-            c if k == n else 0 for k, c in enumerate(self.counts)
-        )
+        counts = (c if k == n else 0 for k, c in enumerate(self.counts))
         return CoeffSeq(counts, virtual=self.virtual)
 
     def positive_part(self) -> "CoeffSeq":
@@ -119,9 +119,8 @@ class CoeffSeq(Record, compare=("counts",)):
 
     def pointing(self) -> "CoeffSeq":
         """Distinguish one element: c[n] becomes n*c[n]."""
-        return CoeffSeq(
-            tuple(n * c for n, c in enumerate(self.counts)), virtual=self.virtual
-        )
+        counts = (n * c for n, c in enumerate(self.counts))
+        return CoeffSeq(counts, virtual=self.virtual)
 
     def integral(self) -> "CoeffSeq":
         """Shift up one size (structure on a total order minus its minimum).
@@ -258,7 +257,9 @@ def atom(name: str, nmax: int, param: int | None = None) -> CoeffSeq:
     "L" (linear orders), "L+"/"S+" (nonempty), "S" (permutations),
     "C" (cycles), "Der" (fixed-point-free permutations), "Bal" (ballots,
     i.e. ordered set partitions), "Par" (set partitions), and the
-    parametric size restrictions "E_r", "S_r", "C_i" taking ``param``.
+    parametric size restrictions "E_r", "S_r", "C_i" taking ``param``, an
+    int (not a bool) at least 0, or 1 for "C_i"; any other name or param
+    raises UnsupportedAtomError.
 
     Every count comes from a direct recurrence.  Ballots (Fubini numbers)
     choose their first block, a(n) = sum_{k>=1} binom(n, k) * a(n-k), with
@@ -270,8 +271,8 @@ def atom(name: str, nmax: int, param: int | None = None) -> CoeffSeq:
     if nmax < 0:
         raise ValueError("truncation must be nonnegative")
     if name in _ONE_SIZE:
-        if param is None or param < 0:
-            raise UnsupportedAtomError(f"atom {name} needs a nonnegative parameter")
+        if type(param) is not int or param < 0:
+            raise UnsupportedAtomError(f"atom {name} needs a nonnegative int parameter")
         if name == "C_i" and param == 0:
             raise UnsupportedAtomError("C_i needs a positive parameter")
         counts = [0] * (nmax + 1)

@@ -133,7 +133,7 @@ class CoeffTable(Record, compare=("rows",)):
         in blocks and multiplies each block's antidiagonal by one binomial.
         """
         counts = merge_sorts(self.rows, self.truncation, identify=True)
-        return CoeffSeq(tuple(counts), virtual=self.virtual)
+        return CoeffSeq(counts, virtual=self.virtual)
 
     def concat_sorts(self) -> CoeffSeq:
         """Counts when sort X is forced onto the smallest labels.
@@ -142,7 +142,7 @@ class CoeffTable(Record, compare=("rows",)):
         Cayley-permutation style merge (internal nodes take 1..i).
         """
         counts = merge_sorts(self.rows, self.truncation, identify=False)
-        return CoeffSeq(tuple(counts), virtual=self.virtual)
+        return CoeffSeq(counts, virtual=self.virtual)
 
 
 def merge_sorts(

@@ -7,6 +7,7 @@ import pytest
 
 from bruteforce import cayley_by_rejection
 from recdig import oracle
+from recdig.bijections import endofunction_to_tree
 from recdig.digraphs import (
     CLASS_RECURRENT_ATOMS,
     cayley_count,
@@ -84,6 +85,10 @@ def test_negative_sizes_are_rejected(model):
         lambda: oracle.count(-1, model, every),
         lambda: oracle.count_table(-1, model, every),
         lambda: oracle.count_table(-2, model, every, by="ijr"),
+        # A size is an int too: neither a bool nor a float is one.
+        lambda: oracle.count(True, model, every),
+        lambda: oracle.enumerate_maps(2.0, model),
+        lambda: oracle.MODELS[model][1](2.0),
     )
     for call in calls:
         with pytest.raises(ValueError, match="size must be nonnegative"):
@@ -168,6 +173,18 @@ def test_cayley_label_characterization():
 def test_check_endofunction_rejects_bad_values():
     with pytest.raises(ValueError):
         oracle.check_endofunction((1, 4, 2))
+    # A label is an int: a float or a bool is none, even where it equals one.
+    # endofunction_to_tree checks its map here too.
+    cases = [
+        (lambda: oracle.check_endofunction((1.5, 2)), "value 1.5 outside [1..2]"),
+        (lambda: oracle.check_endofunction((1.0, 2.0)), "value 1.0 outside [1..2]"),
+        (lambda: oracle.check_endofunction((2, True)), "value True outside [1..2]"),
+        (lambda: endofunction_to_tree((True,)), "value True outside [1..1]"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert type(info.value) is ValueError and str(info.value) == message
 
 
 def test_count_simple_classes():

@@ -40,7 +40,7 @@ def _tree_root(parent):
     if len(roots) != 1:
         raise Reject("expected exactly one root")
     for p in parent:
-        if p is not None and not 1 <= p <= n:
+        if p is not None and (type(p) is not int or not 1 <= p <= n):
             raise Reject(f"parent {p} outside [1..{n}]")
     for v in range(1, n + 1):  # a root is at most n - 1 steps up
         for _ in range(n):
@@ -54,7 +54,7 @@ def _tree_root(parent):
 
 def _leaf_parents(y_parent, i):
     for y, p in enumerate(y_parent, 1):
-        if not 1 <= p <= i:
+        if type(p) is not int or not 1 <= p <= i:
             raise Reject(f"leaf {y} parent {p} outside [1..{i}]")
 
 
@@ -70,7 +70,7 @@ def _two_sort_tree(x_parent, y_parent):
 
 def _doubly_rooted(parent, tail):
     _tree_root(parent)
-    if not 1 <= tail <= len(parent):
+    if type(tail) is not int or not 1 <= tail <= len(parent):
         raise Reject("the tail must be a node of the tree")
 
 
@@ -81,7 +81,7 @@ def _two_sort(x_parent, y_parent):
 
 
 def _pointed(x_parent, y_parent, star_parent):
-    if not 1 <= star_parent <= len(x_parent):
+    if type(star_parent) is not int or not 1 <= star_parent <= len(x_parent):
         raise Reject("the extra leaf must hang from an internal node")
     _two_sort_tree(x_parent, (*y_parent, star_parent))
 
@@ -91,7 +91,7 @@ def _permuted(x_image, y_parent):
     if not i:
         raise Reject("a permuted forest needs an internal node")
     for x, v in enumerate(x_image, 1):
-        if v is None or not 1 <= v <= i:
+        if type(v) is not int or not 1 <= v <= i:
             raise Reject(f"node {x} image {v} outside [1..{i}]")
     _leaf_parents(y_parent, i)
     for v in range(1, i + 1):
@@ -114,15 +114,25 @@ def _agree(cls, reference, *args):
         assert tuple(getattr(built, name) for name in cls.__slots__) == args
 
 
+# Entries that equal a label, or lie between two, yet are no label.
+NON_LABELS = (True, 1.0, 1.5)
+
+
+def _entries(n):
+    """The entries tried on [n]: 0..n+1, and for n < 3 the NON_LABELS."""
+    return (*range(n + 2), *(NON_LABELS if n < 3 else ()))
+
+
 def _parent_maps(n):
-    """Every parent tuple over {None, 0..n+1}^n: roots, cycles, bad parents."""
-    return product((None, *range(n + 2)), repeat=n)
+    """Every parent tuple over None and _entries(n): roots, cycles, bad
+    parents."""
+    return product((None, *_entries(n)), repeat=n)
 
 
 def test_doubly_rooted_tree_checks_match_the_definition():
     for n in range(5):
         for parent in _parent_maps(n):
-            for tail in range(n + 2):
+            for tail in _entries(n):
                 _agree(DoublyRootedTree, _doubly_rooted, parent, tail)
 
 
@@ -130,7 +140,7 @@ def test_two_sort_tree_checks_match_the_definition():
     for i in range(5):
         for x_parent in _parent_maps(i):
             for j in range(3 if i < 4 else 2):
-                for y_parent in product(range(i + 2), repeat=j):
+                for y_parent in product(_entries(i), repeat=j):
                     _agree(TwoSortTree, _two_sort, x_parent, y_parent)
 
 
@@ -138,18 +148,18 @@ def test_pointed_leaf_tree_checks_match_the_definition():
     for i in range(5):
         for x_parent in _parent_maps(i):
             for j in range(2 if i < 4 else 1):
-                for y_parent in product(range(i + 2), repeat=j):
-                    for star in range(i + 2):
+                for y_parent in product(_entries(i), repeat=j):
+                    for star in _entries(i):
                         _agree(PointedLeafTree, _pointed, x_parent, y_parent, star)
 
 
 def test_permuted_forest_checks_match_the_definition():
-    # Images over {None, 0..i+1}: parent maps (with None roots), bad
+    # Images over None and _entries(i): parent maps (with None roots), bad
     # images, and every map on [i], with and without childless nodes.
     for i in range(5):
         for x_image in _parent_maps(i):
             for j in range(3 if i < 4 else 2):
-                for y_parent in product(range(i + 2), repeat=j):
+                for y_parent in product(_entries(i), repeat=j):
                     _agree(PermutedForest, _permuted, x_image, y_parent)
 
 

@@ -170,6 +170,12 @@ def test_restored_virtual_flag_survives():
          "the tail must be a node of the tree"),
         (lambda: DoublyRootedTree((None, None), 1), StructureError,
          "expected exactly one root"),
+        # A case whose message repeats another's gets its own id, so
+        # that no two cases share one.
+        pytest.param(lambda: DoublyRootedTree((None, 1), 2.0), StructureError,
+                     "the tail must be a node of the tree", id="float-tail"),
+        (lambda: DoublyRootedTree((None, 1.5), 1), StructureError,
+         "parent 1.5 outside [1..2]"),
         (lambda: DoublyRootedTree((None,)), TypeError,
          "DoublyRootedTree.__init__() missing 1 required positional "
          "argument: 'tail'"),
@@ -177,10 +183,17 @@ def test_restored_virtual_flag_survives():
          "a two-sort tree needs an internal root"),
         (lambda: TwoSortTree((None, 1), ()), StructureError,
          "non-root internal node 2 has no children"),
+        (lambda: TwoSortTree((None,), (True,)), StructureError,
+         "leaf 1 parent True outside [1..1]"),
         (lambda: PointedLeafTree((None,), (), 2), StructureError,
          "the extra leaf must hang from an internal node"),
+        pytest.param(lambda: PointedLeafTree((None,), (), True), StructureError,
+                     "the extra leaf must hang from an internal node",
+                     id="bool-star-parent"),
         (lambda: PermutedForest((2,), ()), StructureError,
          "node 1 image 2 outside [1..1]"),
+        (lambda: PermutedForest((1.0,), ()), StructureError,
+         "node 1 image 1.0 outside [1..1]"),
         (lambda: PermutedForest((1, 1), ()), StructureError,
          "internal node 2 has no preimage"),
         (lambda: IdentityCheck("x", (1,), 2), TypeError,

@@ -67,6 +67,10 @@ def test_parametric_atoms():
         atom("E", 4, 2)
     with pytest.raises(UnsupportedAtomError):
         atom("Q", 4)
+    # The parameter is an int: a bool or a float is none.
+    for param in (True, 2.0):
+        with pytest.raises(UnsupportedAtomError, match="nonnegative int parameter"):
+            atom("E_r", 4, param)
 
 
 def test_concrete_sequences_are_nonnegative():
@@ -191,3 +195,8 @@ def test_restrict_truncate():
 
 def test_equality_ignores_metadata():
     assert CoeffSeq((0, 1), virtual=True) == CoeffSeq((0, 1))
+    # Counts may come as any iterable; they are stored as a tuple.
+    for given, counts in (((x for x in (1, 2)), (1, 2)), (range(3), (0, 1, 2))):
+        seq = CoeffSeq(given)
+        assert type(seq.counts) is tuple
+        assert seq == CoeffSeq(counts) and hash(seq) == hash(CoeffSeq(counts))
