@@ -47,7 +47,7 @@ from math import factorial
 from operator import add, mul
 from typing import Iterator, Sequence
 
-from recdig.series import CoeffSeq, ShapeError, atom, pascal_rows
+from recdig.series import CoeffSeq, atom, check_size, pascal_rows
 
 
 def __getattr__(name: str):
@@ -71,35 +71,26 @@ def exact_div(num: int, den: int) -> int:
     return q
 
 
-def _need_truncation(r: CoeffSeq, n: int, what: str) -> None:
-    if n < 0:
-        raise ShapeError(f"{what}: size {n} is negative")
-    if r.truncation < n:
-        raise ShapeError(
-            f"{what}: sequence truncated at {r.truncation}, need {n}"
-        )
-
-
 def digraph_count_by_recurrent(i: int, j: int, r: int, rec: CoeffSeq) -> int:
     """Digraphs on [i, j] whose recurrent part is an R-structure of size r.
 
     Closed formula i! * |R[r]| / r! * sdiff(i+j, i, r): digraph_count of R
-    restricted to size r.  A negative index is a ShapeError.
+    restricted to size r.  Sizes follow series.check_size.
     """
-    _need_truncation(rec, r, "digraph_count_by_recurrent")
+    check_size(r, "digraph_count_by_recurrent", most=rec.truncation)
     return _cell(i, j, rec.restrict(r), "digraph_count_by_recurrent")
 
 
 def digraph_count(i: int, j: int, rec: CoeffSeq) -> int:
     """Total R-recurrent digraphs on [i, j], summed over the recurrent size."""
-    _need_truncation(rec, i, "digraph_count")
+    check_size(i, "digraph_count", most=rec.truncation)
     return _cell(i, j, rec, "digraph_count")
 
 
 def _cell(i: int, j: int, rec: CoeffSeq, what: str) -> int:
     """The closed form with the single weight i! at index i."""
-    if i < 0 or j < 0:
-        raise ShapeError(f"{what}: size ({i}, {j}) is negative")
+    check_size(i, what)
+    check_size(j, what)
     weight = [0] * i + [factorial(i)]
     return _closed_form(rec, lambda n: weight, i + j, i + j)[0]
 
@@ -114,7 +105,7 @@ def digraph_rows(rec: CoeffSeq, nmax: int) -> Iterator[list[int]]:
     only, so a consumer that does not keep the rows holds O(nmax)
     integers.  The arguments are checked at the call, before any row.
     """
-    _need_truncation(rec, nmax, "digraph_rows")
+    check_size(nmax, "digraph_rows", most=rec.truncation)
     return _rows(rec.counts, 1, (1,), nmax)
 
 
@@ -159,7 +150,8 @@ def digraph_table(rec: CoeffSeq, nmax: int) -> CoeffTable:
     """The full table on i + j <= nmax, stored row by row from digraph_rows."""
     from recdig.tables import CoeffTable
 
-    return CoeffTable(digraph_rows(rec, nmax), virtual=rec.virtual)
+    check_size(nmax, "digraph_table", most=rec.truncation)
+    return CoeffTable(_rows(rec.counts, 1, (1,), nmax), virtual=rec.virtual)
 
 
 def count_sequence(rec: CoeffSeq, nmax: int, model: str) -> Iterator[int]:
@@ -170,19 +162,17 @@ def count_sequence(rec: CoeffSeq, nmax: int, model: str) -> Iterator[int]:
     permutations), "endofunctions" by identification (endofunctions).
     Count n is yielded as soon as it is final: after row n of the table
     for "cayley", after the block of rows that holds row n for
-    "endofunctions".  The model and the truncation are checked when this
-    is called, before any count is produced; a caller that needs a
-    sequence wraps the iterator in tuple().  O(nmax^2) big-integer
-    operations and O(nmax) integers of memory; closed_form_sequence is
-    the closed-form check on it.
+    "endofunctions".  The model and nmax are checked at the call, before
+    any count; a caller that needs a sequence wraps the iterator in
+    tuple().  O(nmax^2) big-integer operations and O(nmax) integers of
+    memory; closed_form_sequence is the closed-form check on it.
     """
     if model not in ("cayley", "endofunctions"):
         raise ValueError(f"unknown model {model!r}")
+    check_size(nmax, "count_sequence", most=rec.truncation)
     from recdig.tables import merge_sorts
 
-    return merge_sorts(
-        digraph_rows(rec, nmax), nmax, identify=model == "endofunctions"
-    )
+    return merge_sorts(_rows(rec.counts, 1, (1,), nmax), nmax, model == "endofunctions")
 
 
 def _closed_form(rec: CoeffSeq, weights, nmax: int, first: int) -> list[int]:
@@ -226,19 +216,19 @@ def closed_form_sequence(rec: CoeffSeq, nmax: int, model: str) -> list[int]:
     end, so this returns a list."""
     if model not in _WEIGHTS:
         raise ValueError(f"unknown model {model!r}")
-    _need_truncation(rec, nmax, "closed_form_sequence")
+    check_size(nmax, "closed_form_sequence", most=rec.truncation)
     return _closed_form(rec, _WEIGHTS[model], nmax, 0)
 
 
 def endofunction_count(n: int, rec: CoeffSeq) -> int:
     """R-recurrent endofunctions of [n]: both sorts over the same labels."""
-    _need_truncation(rec, n, "endofunction_count")
+    check_size(n, "endofunction_count", most=rec.truncation)
     return _closed_form(rec, _WEIGHTS["endofunctions"], n, n)[0]
 
 
 def cayley_count(n: int, rec: CoeffSeq) -> int:
     """R-recurrent Cayley permutations of [n]: internal nodes take 1..i."""
-    _need_truncation(rec, n, "cayley_count")
+    check_size(n, "cayley_count", most=rec.truncation)
     return _closed_form(rec, _WEIGHTS["cayley"], n, n)[0]
 
 
@@ -255,6 +245,7 @@ CLASS_RECURRENT_ATOMS = {
 
 def recurrent_structure_for_class(name: str, nmax: int) -> CoeffSeq:
     """The recurrent-part counts matching a named digraph class."""
+    check_size(nmax, "recurrent_structure_for_class")
     try:
         return atom(CLASS_RECURRENT_ATOMS[name], nmax)
     except KeyError:
@@ -324,8 +315,8 @@ def digraph_table_with_branches(
     * E, C, Der, Bal, Par and other classes with no such a (a = 0,
       e = nmax): the full convolution, O(nmax^3).
     """
-    _need_truncation(rec, nmax, "digraph_table_with_branches")
-    _need_truncation(branch, nmax, "digraph_table_with_branches")
+    most = min(rec.truncation, branch.truncation)
+    check_size(nmax, "digraph_table_with_branches", most=most)
     from recdig.tables import CoeffTable
 
     rows = _rows(rec.counts, *_branch_tail(branch.counts, nmax), nmax)
@@ -339,8 +330,8 @@ def bounded_arity_tree_table(k: int, nmax: int) -> CoeffTable:
     result with permutations yields digraphs where recurrent points have
     indegree at most k + 1 and nonrecurrent points at most k.
     """
-    if k < 1:
-        raise ValueError("arity bound must be at least 1")
+    check_size(k, "bounded_arity_tree_table", least=1)
+    check_size(nmax, "bounded_arity_tree_table")
     from recdig.tables import solve_tree_equation
 
     branching = atom("E_r", nmax, 0)
@@ -361,8 +352,8 @@ def perms_with_cycle_lengths_dividing(d: int, nmax: int) -> CoeffSeq:
     whose (d+1)-fold iterate equals f; the oracle settles the off-by-one
     question between divisors of d and of d + 1 empirically.
     """
-    if d < 1:
-        raise ValueError("divisor parameter must be positive")
+    check_size(d, "perms_with_cycle_lengths_dividing", least=1)
+    check_size(nmax, "perms_with_cycle_lengths_dividing")
     inner = atom("C_i", nmax, 1)
     for i in divisors(d, nmax)[1:]:
         inner = inner + atom("C_i", nmax, i)

@@ -15,12 +15,18 @@ exact numbers: ints everywhere in recdig, or Decimals where the CLI seeds
 the digraph row kernel, which is generic in its number type.  Sequences
 that can carry negative entries (logarithms, formal inverses, differences)
 are first class but must be tagged ``virtual``.
+
+Every size (n, i, j, r, k, d) of series, tables, digraphs and stats obeys
+one rule, check_size, run before any work: an int, never a bool or float,
+from the entry's least value (0 unless stated) to the truncation of the
+counts it reads, or else a ShapeError naming the entry.  stirling (loaded
+alone by table sdiff) and oracle (the independent route) keep their own.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, islice
-from math import factorial
+from itertools import accumulate, islice, repeat
+from math import factorial, inf
 from operator import add, mul, sub
 from typing import Iterable, Iterator
 
@@ -28,7 +34,7 @@ from recdig._record import Record
 
 
 class ShapeError(ValueError):
-    """Operands have incompatible truncations, or an empty result."""
+    """Incompatible truncations, a size out of range, or an empty result."""
 
 
 class UnsupportedAtomError(ValueError):
@@ -41,6 +47,13 @@ class CompositionDomainError(ValueError):
 
 class LogarithmDomainError(ValueError):
     """Logarithm needs exactly one structure on the empty set."""
+
+
+def check_size(n: int, what: str, least: float = 0, most: int | None = None) -> None:
+    """Raise ShapeError naming what unless n is an int, not a bool, in [least..most]."""
+    if type(n) is not int or n < least or most is not None and n > most:
+        span = f">= {least}" if most is None else f"in [{least}..{most}]"
+        raise ShapeError(f"{what}: size {n!r} is not an int {span}")
 
 
 def same_truncation(a, b, op: str) -> None:
@@ -98,16 +111,12 @@ class CoeffSeq(Record, compare=("counts",)):
     # -- reshaping -------------------------------------------------------
 
     def truncate(self, n: int) -> "CoeffSeq":
-        if n < 0 or n > self.truncation:
-            raise ShapeError(
-                f"cannot truncate length-{len(self.counts)} sequence at {n}"
-            )
+        check_size(n, "CoeffSeq.truncate", most=self.truncation)
         return CoeffSeq(self.counts[: n + 1], virtual=self.virtual)
 
     def restrict(self, n: int) -> "CoeffSeq":
         """Keep only the structures of size exactly n."""
-        if n < 0:
-            raise ShapeError("restriction size must be nonnegative")
+        check_size(n, "CoeffSeq.restrict", most=self.truncation)
         counts = (c if k == n else 0 for k, c in enumerate(self.counts))
         return CoeffSeq(counts, virtual=self.virtual)
 
@@ -185,15 +194,13 @@ def _derangement_counts(nmax: int) -> list[int]:
 
 
 def pascal_rows(nmax: int) -> Iterator[list[int]]:
-    """Yield the binomial rows binom(n, 0..n), n = 0..nmax, by Pascal's rule;
-    nothing when nmax < 0."""
-    if nmax < 0:
-        return
-    row = [1]
-    yield row
-    for _ in range(nmax):
-        row = [1] + list(map(add, row, row[1:])) + [1]
-        yield row
+    """The binomial rows binom(n, 0..n), n = 0..nmax, by Pascal's rule, as
+    a lazy iterator; none when nmax < 0."""
+    check_size(nmax, "pascal_rows", least=-inf)
+    rows = accumulate(
+        repeat(None, nmax), lambda row, _: [1, *map(add, row, row[1:]), 1], initial=[1]
+    )
+    return islice(rows, max(nmax + 1, 0))
 
 
 def _binomial_dot(row: list[int], a, b, n: int) -> int:
@@ -268,8 +275,7 @@ def atom(name: str, nmax: int, param: int | None = None) -> CoeffSeq:
     integers.  They equal L o E+ and E o E+; CoeffSeq.compose, which is
     O(nmax^3), checks that in the tests.
     """
-    if nmax < 0:
-        raise ValueError("truncation must be nonnegative")
+    check_size(nmax, "atom")
     if name in _ONE_SIZE:
         if type(param) is not int or param < 0:
             raise UnsupportedAtomError(f"atom {name} needs a nonnegative int parameter")

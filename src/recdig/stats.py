@@ -37,8 +37,8 @@ from recdig.digraphs import (
 from recdig.series import (
     CoeffSeq,
     LogarithmDomainError,
-    ShapeError,
     atom,
+    check_size,
     same_truncation,
 )
 
@@ -120,6 +120,7 @@ def identity_checks(rec: CoeffSeq, nmax: int) -> list[IdentityCheck]:
     Each segment expansion is one sequence: a sum of ordinal products
     (+) of the restrictions R_r of R truncated at nmax.
     """
+    check_size(nmax, "identity_checks", most=rec.truncation)
     return identity_suite([rec], nmax)[0]
 
 
@@ -130,9 +131,8 @@ def identity_suite(recs: list[CoeffSeq], nmax: int) -> list[list[IdentityCheck]]
     they are built once and shared by every list; only the segment
     expansions are evaluated per R.
     """
-    for rec in recs:
-        if rec.truncation < nmax:
-            raise ShapeError("recurrent sequence shorter than requested range")
+    most = min((rec.truncation for rec in recs), default=None)
+    check_size(nmax, "identity_suite", most=most)
     one = atom("1", nmax)
     mixed, square = _ballot_powers(nmax, max(BALLOT_RMAX, nmax))
     integrals = [m.integral() for m in mixed]
@@ -236,6 +236,7 @@ def asymptotics_report(nmax: int) -> list[AsymptoticsRow]:
     def cayley(rec: CoeffSeq) -> tuple[int, ...]:
         return tuple(count_sequence(rec, nmax, "cayley"))
 
+    check_size(nmax, "asymptotics_report")
     perms, sets, connected, der = (
         recurrent_structure_for_class(name, nmax)
         for name in ("all", "forest", "connected", "derangement")

@@ -19,6 +19,8 @@ from recdig.series import (
     CoeffSeq,
     CompositionDomainError,
     ShapeError,
+    atom,
+    check_size,
     pascal_rows,
     same_truncation,
 )
@@ -53,10 +55,10 @@ class CoeffTable(Record, compare=("rows",)):
         return len(self.rows) - 1
 
     def __getitem__(self, key: tuple[int, int]) -> int:
-        """Cell (i, j); IndexError unless i, j >= 0 and i + j <= N."""
+        """Cell (i, j); IndexError unless ints (not bools) i, j >= 0, i + j <= N."""
         i, j = key
         n = len(self.rows) - 1
-        if i < 0 or j < 0 or i + j > n:
+        if type(i) is not int or type(j) is not int or i < 0 or j < 0 or i + j > n:
             raise IndexError(f"cell ({i}, {j}) is outside the triangle i + j <= {n}")
         return self.rows[i][j]
 
@@ -65,12 +67,12 @@ class CoeffTable(Record, compare=("rows",)):
     @classmethod
     def x_singleton(cls, nmax: int) -> "CoeffTable":
         """One X label: cell (1, 0) is 1, every other cell 0."""
-        return _singleton(nmax, (1, 0))
+        return _singleton(nmax, (1, 0), "CoeffTable.x_singleton")
 
     @classmethod
     def y_singleton(cls, nmax: int) -> "CoeffTable":
         """One Y label: cell (0, 1) is 1, every other cell 0."""
-        return _singleton(nmax, (0, 1))
+        return _singleton(nmax, (0, 1), "CoeffTable.y_singleton")
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -118,8 +120,7 @@ class CoeffTable(Record, compare=("rows",)):
         return _table(self.truncation, lambda i, j: i * a[i][j], self.virtual)
 
     def truncate(self, n: int) -> "CoeffTable":
-        if n < 0 or n > self.truncation:
-            raise ShapeError(f"cannot truncate table at {n}")
+        check_size(n, "CoeffTable.truncate", most=self.truncation)
         a = self.rows
         return _table(n, lambda i, j: a[i][j], self.virtual)
 
@@ -172,6 +173,7 @@ def merge_sorts(
     stream a table of any size through here.  A missing row raises
     ShapeError, after the counts that the rows before it make final.
     """
+    check_size(nmax, "merge_sorts")
     rows = iter(rows)
     size = _block_size(nmax) if identify else 1
     totals = [0] * (nmax + 1)
@@ -226,8 +228,9 @@ def _table(n: int, cell, virtual: bool = False) -> CoeffTable:
     )
 
 
-def _singleton(nmax: int, at: tuple[int, int]) -> CoeffTable:
+def _singleton(nmax: int, at: tuple[int, int], what: str) -> CoeffTable:
     """The table with a 1 at cell ``at`` (when it fits) and 0 elsewhere."""
+    check_size(nmax, what)
     return _table(nmax, lambda i, j: int((i, j) == at))
 
 
@@ -397,8 +400,7 @@ def solve_tree_equation(branching: CoeffSeq, nmax: int) -> CoeffTable:
     rooted trees, k - 1 for trees of arity at most k.  One exact residual
     check, X * B(T - X + Y) == T through compose_table, guards the result.
     """
-    if branching.truncation < nmax:
-        raise ShapeError("branching sequence shorter than requested truncation")
+    check_size(nmax, "solve_tree_equation", most=branching.truncation)
     b = branching.truncate(nmax)
     binom = list(pascal_rows(nmax))
     # T up to degree nmax reads u_0 below it, so u_m stops at nmax - 1 - m.
@@ -427,6 +429,5 @@ def solve_tree_equation(branching: CoeffSeq, nmax: int) -> CoeffTable:
 
 def rooted_tree_table(nmax: int) -> CoeffTable:
     """Two-sort rooted trees: internal nodes of sort X, leaves of sort Y."""
-    from recdig.series import atom
-
+    check_size(nmax, "rooted_tree_table")
     return solve_tree_equation(atom("E", nmax), nmax)

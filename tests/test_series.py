@@ -1,6 +1,20 @@
 import pytest
 
 from bruteforce import derangement_count, ordered_set_partition_count, set_partitions
+from recdig.digraphs import (
+    bounded_arity_tree_table,
+    cayley_count,
+    closed_form_sequence,
+    count_sequence,
+    digraph_count,
+    digraph_count_by_recurrent,
+    digraph_rows,
+    digraph_table,
+    digraph_table_with_branches,
+    endofunction_count,
+    perms_with_cycle_lengths_dividing,
+    recurrent_structure_for_class,
+)
 from recdig.series import (
     CoeffSeq,
     CompositionDomainError,
@@ -8,7 +22,15 @@ from recdig.series import (
     ShapeError,
     UnsupportedAtomError,
     atom,
+    check_size,
     pascal_rows,
+)
+from recdig.stats import asymptotics_report, identity_checks, identity_suite
+from recdig.tables import (
+    CoeffTable,
+    merge_sorts,
+    rooted_tree_table,
+    solve_tree_equation,
 )
 
 FACT = [1, 1, 2, 6, 24, 120, 720, 5040]
@@ -200,3 +222,83 @@ def test_equality_ignores_metadata():
         seq = CoeffSeq(given)
         assert type(seq.counts) is tuple
         assert seq == CoeffSeq(counts) and hash(seq) == hash(CoeffSeq(counts))
+
+
+# Every public size argument of series, tables, digraphs and stats, as
+# (entry, call with the size, least value, largest value or None).
+S4 = atom("S", 4)
+SIZE_ENTRIES = [
+    ("atom", lambda n: atom("S", n), 0, None),
+    ("CoeffSeq.truncate", S4.truncate, 0, 4),
+    ("CoeffSeq.restrict", S4.restrict, 0, 4),
+    ("pascal_rows", pascal_rows, float("-inf"), None),  # no rows below 0
+    ("CoeffTable.x_singleton", CoeffTable.x_singleton, 0, None),
+    ("CoeffTable.y_singleton", CoeffTable.y_singleton, 0, None),
+    ("CoeffTable.truncate", lambda n: digraph_table(S4, 4).truncate(n), 0, 4),
+    ("merge_sorts", lambda n: next(merge_sorts([[1]], n, False)), 0, None),
+    ("merge_sorts", lambda n: next(merge_sorts([[1]], n, True)), 0, None),
+    ("solve_tree_equation", lambda n: solve_tree_equation(atom("E", 4), n), 0, 4),
+    ("rooted_tree_table", rooted_tree_table, 0, None),
+    ("digraph_count_by_recurrent", lambda i: digraph_count_by_recurrent(i, 1, 1, S4),
+     0, None),
+    ("digraph_count_by_recurrent", lambda j: digraph_count_by_recurrent(1, j, 1, S4),
+     0, None),
+    ("digraph_count_by_recurrent", lambda r: digraph_count_by_recurrent(1, 1, r, S4),
+     0, 4),
+    ("digraph_count", lambda i: digraph_count(i, 1, S4), 0, 4),
+    ("digraph_count", lambda j: digraph_count(1, j, S4), 0, None),
+    ("digraph_rows", lambda n: digraph_rows(S4, n), 0, 4),
+    ("digraph_table", lambda n: digraph_table(S4, n), 0, 4),
+    ("count_sequence", lambda n: count_sequence(S4, n, "cayley"), 0, 4),
+    ("count_sequence", lambda n: count_sequence(S4, n, "endofunctions"), 0, 4),
+    ("closed_form_sequence", lambda n: closed_form_sequence(S4, n, "cayley"), 0, 4),
+    ("endofunction_count", lambda n: endofunction_count(n, S4), 0, 4),
+    ("cayley_count", lambda n: cayley_count(n, S4), 0, 4),
+    ("recurrent_structure_for_class",
+     lambda n: recurrent_structure_for_class("all", n), 0, None),
+    ("digraph_table_with_branches",
+     lambda n: digraph_table_with_branches(S4, atom("L", 3), n), 0, 3),
+    ("bounded_arity_tree_table", lambda k: bounded_arity_tree_table(k, 3), 1, None),
+    ("bounded_arity_tree_table", lambda n: bounded_arity_tree_table(2, n), 0, None),
+    ("perms_with_cycle_lengths_dividing",
+     lambda d: perms_with_cycle_lengths_dividing(d, 3), 1, None),
+    ("perms_with_cycle_lengths_dividing",
+     lambda n: perms_with_cycle_lengths_dividing(2, n), 0, None),
+    ("identity_checks", lambda n: identity_checks(S4, n), 0, 4),
+    ("identity_suite", lambda n: identity_suite([atom("E", 5), S4], n), 0, 4),
+    ("asymptotics_report", asymptotics_report, 0, None),
+]
+
+
+def _bad_sizes(least, most):
+    """A bool, a float, -1 and one below the least value where they are out
+    of range, and one past the largest value where there is one."""
+    below = sorted({-1, least - 1} - {float("-inf")})
+    return [True, 2.0, *(n for n in below if n < least),
+            *([most + 1] if most is not None else [])]
+
+
+@pytest.mark.parametrize(
+    "what, call, size",
+    [
+        pytest.param(what, call, size, id=f"{what}-{k}-{size!r}")
+        for k, (what, call, least, most) in enumerate(SIZE_ENTRIES)
+        for size in _bad_sizes(least, most)
+    ],
+)
+def test_every_size_follows_check_size(what, call, size):
+    # digraph_rows, count_sequence and pascal_rows return iterators and raise
+    # at the call; merge_sorts, a generator, raises before its first count.
+    with pytest.raises(ShapeError) as info:
+        call(size)
+    assert str(info.value).startswith(f"{what}: size {size!r} is not an int ")
+
+
+def test_check_size_bounds():
+    check_size(0, "entry")
+    check_size(4, "entry", most=4)
+    check_size(-3, "entry", least=-3, most=-3)
+    for n, least, most, span in ((5, 0, 4, "in [0..4]"), (0, 1, None, ">= 1")):
+        with pytest.raises(ShapeError) as info:
+            check_size(n, "entry", least, most)
+        assert str(info.value) == f"entry: size {n} is not an int {span}"

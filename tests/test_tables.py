@@ -34,7 +34,9 @@ def test_shape_validation():
 def test_cells_outside_the_triangle_raise():
     c = digraph_table(atom("C", 6), 6)
     assert c[6, 0] == 120 and c[0, 6] == 0 and c[4, 2] > 0
-    for i, j in ((-1, 0), (0, -1), (7, 0), (0, 7), (3, 4), (-1, 7)):
+    # An index is an int, never a bool or a float, as in series.check_size.
+    for i, j in ((-1, 0), (0, -1), (7, 0), (0, 7), (3, 4), (-1, 7),
+                 (True, 0), (0, False), (1.0, 0), (0, 2.0)):
         with pytest.raises(IndexError) as info:
             c[i, j]
         assert str(info.value) == (
